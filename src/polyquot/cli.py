@@ -59,7 +59,7 @@ from .quotients import (
 from .bivariate import cwp_structural, tight_factorization, valley_order
 from .chains import ChainVerificationError, sep_admissible_order
 from .families import iter_antichains, random_antichain
-from .textio import IdealFormatError, parse_ideal_details, serialize_ideal
+from .textio import parse_ideal_details, parse_rows, serialize_ideal
 
 SCHEMA = 1
 
@@ -111,13 +111,15 @@ def _witness_json(w):
     }
 
 
-def _read_ideal(path: str):
+def _read_text(path: str) -> str:
     if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_ideal_details(text)
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_ideal(path: str):
+    return parse_ideal_details(_read_text(path))
 
 
 def _emit(report: dict, args) -> None:
@@ -232,8 +234,8 @@ def _cmd_order(args) -> int:
 def _cmd_verify_order(args) -> int:
     parsed = _read_ideal(args.input)
     ideal = parsed.ideal
-    # the order file lists exponent vectors in sequence, same row format
-    order_rows = _read_order_rows(args.order, ideal.nvars)
+    # the order file is in the ideal text format, its rows in sequence
+    _, order_rows = parse_rows(_read_text(args.order), ideal.nvars)
     order = GeneratorOrder(ideal, tuple(order_rows))
     chk = is_admissible_order(order)
     report = {
@@ -246,28 +248,6 @@ def _cmd_verify_order(args) -> int:
     }
     _emit(report, args)
     return EXIT_OK if chk.ok else EXIT_PREDICATE_FALSE
-
-
-def _read_order_rows(path: str, nvars: int):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    rows = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not header_seen and line.startswith("n"):
-            header_seen = True
-            continue
-        parts = line.split()
-        if len(parts) != nvars:
-            raise IdealFormatError(f"expected {nvars} exponents", lineno)
-        rows.append(tuple(int(p) for p in parts))
-    return rows
 
 
 def _cmd_product(args) -> int:

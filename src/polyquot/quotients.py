@@ -4,7 +4,11 @@ An ordering u_1, ..., u_m of the minimal generators is admissible when each
 colon ideal (u_1, ..., u_{i-1}) : u_i is generated by variables.  For an
 antichain that holds iff for every k < i some l < i has u_l : u_i equal to
 a single variable dividing u_k : u_i, which is what the incremental check
-below computes; the search caches these per-pair facts up front.
+below computes.  The search tests the same condition on bitsets over the
+generators: for each candidate and variable x_r it precomputes which
+generators have a colon against the candidate involving x_r and which
+have a colon exactly x_r, so one step check costs O(n) big-int operations
+however many generators are already placed.
 
 Search nodes count attempted placements.  Whether a generator may extend a
 partial order depends only on the *set* already placed, so failed prefix
@@ -77,11 +81,11 @@ class ComponentwiseLQ:
 # verification
 
 
-def _colon_is_variable_generated(acc: Sequence[Monomial], v: Monomial) -> bool:
-    """Is (acc) : v generated by variables?
+def _colon_variables(acc: Sequence[Monomial], v: Monomial) -> Optional[set]:
+    """The variables generating (acc) : v, or None if it is not variable-generated.
 
     acc and v must live in a common antichain, so no colon generator is 1.
-    An empty acc passes vacuously.
+    An empty acc gives the empty set (the zero colon ideal).
     """
     colon_vecs = []
     var_positions = set()
@@ -89,21 +93,21 @@ def _colon_is_variable_generated(acc: Sequence[Monomial], v: Monomial) -> bool:
         c = monomial_colon(g, v)
         s = sum(c)
         if s == 0:
-            return False  # g divides v: the colon is the unit ideal
+            return None  # g divides v: the colon is the unit ideal
         colon_vecs.append(c)
         if s == 1:
             var_positions.add(c.index(1))
     for c in colon_vecs:
         if not any(c[r] for r in var_positions):
-            return False
-    return True
+            return None
+    return var_positions
 
 
 def _first_bad_step(base: Sequence[Monomial], appended: Sequence[Monomial]):
     """Index into `appended` of the first failing colon, or None."""
     acc = list(base)
     for idx, v in enumerate(appended):
-        if acc and not _colon_is_variable_generated(acc, v):
+        if acc and _colon_variables(acc, v) is None:
             return idx
         acc.append(v)
     return None
@@ -129,15 +133,8 @@ def order_colon_variables(order: GeneratorOrder) -> tuple:
     seq = order.order
     out = [()]
     for i in range(1, len(seq)):
-        v = seq[i]
-        vars_present = set()
-        colon_vecs = []
-        for g in seq[:i]:
-            c = monomial_colon(g, v)
-            colon_vecs.append(c)
-            if sum(c) == 1:
-                vars_present.add(c.index(1))
-        if any(not any(c[r] for r in vars_present) for c in colon_vecs):
+        vars_present = _colon_variables(seq[:i], seq[i])
+        if vars_present is None:
             raise ValueError(f"colon at position {i} is not variable-generated")
         out.append(tuple(sorted(vars_present)))
     return tuple(out)
@@ -161,46 +158,43 @@ def _search_extension(base, cands, budget):
     if ncand == 0:
         return FOUND, (), 0
     universe = list(base) + list(cands)
-    nu = len(universe)
     nb = len(base)
-    # wit_bit[l][c]: bit of the variable r if universe[l] : cands[c] is
-    # exactly x_r, else 0.  needs[k][c]: support mask of universe[k] : cands[c].
-    wit_bit = [[0] * ncand for _ in range(nu)]
-    needs = [[0] * ncand for _ in range(nu)]
-    for l in range(nu):
-        gl = universe[l]
-        for c in range(ncand):
-            gc = cands[c]
-            if gl == gc:
-                continue
-            col = monomial_colon(gl, gc)
-            mask = 0
-            s = 0
-            for r, e in enumerate(col):
-                if e:
-                    mask |= 1 << r
-                    s += e
-            needs[l][c] = mask
-            if s == 1:
-                wit_bit[l][c] = mask
+    # Bit l of a mask stands for universe[l], so cands[c] is bit nb + c and
+    # the placed set is base_mask | (chosen_mask << nb).  For each variable
+    # r, at[r][e] holds the members with x_r exponent e and above[r][e] the
+    # members with x_r exponent greater than e (for every e that occurs).
+    above = []
+    at = []
+    for r in range(len(universe[0])):
+        buckets: dict[int, int] = {}
+        for l, g in enumerate(universe):
+            buckets[g[r]] = buckets.get(g[r], 0) | (1 << l)
+        greater = {}
+        acc = 0
+        for e in sorted(buckets, reverse=True):
+            greater[e] = acc
+            acc |= buckets[e]
+        above.append(greater)
+        at.append(buckets)
+    # Per candidate c and variable r, the pair (W, K): K holds the members
+    # whose colon against cands[c] involves x_r, W those whose colon is
+    # exactly x_r (x_r exponent one above cands[c], no other K containing
+    # them).  A member in no K divides cands[c]: its colon is the unit ideal.
+    colon_bits = []
+    for gc in cands:
+        ks = [above[r][e] for r, e in enumerate(gc)]
+        once = many = 0
+        for k in ks:
+            many |= once & k
+            once |= k
+        colon_bits.append([
+            (at[r].get(e + 1, 0) & ~many, k)
+            for r, (e, k) in enumerate(zip(gc, ks))
+        ])
 
     nodes = 0
     dead: set[int] = set()
-
-    def step_valid(chosen, c):
-        avail = 0
-        for l in range(nb):
-            avail |= wit_bit[l][c]
-        for l in chosen:
-            avail |= wit_bit[nb + l][c]
-        for k in range(nb):
-            if needs[k][c] & avail == 0:
-                return False
-        for k in chosen:
-            if needs[nb + k][c] & avail == 0:
-                return False
-        return True
-
+    base_mask = (1 << nb) - 1
     chosen: list[int] = []
 
     def dfs(chosen_mask: int) -> bool:
@@ -209,6 +203,7 @@ def _search_extension(base, cands, budget):
             return True
         if chosen_mask in dead:
             return False
+        placed = base_mask | (chosen_mask << nb)
         for c in range(ncand):
             bit = 1 << c
             if chosen_mask & bit:
@@ -216,7 +211,15 @@ def _search_extension(base, cands, budget):
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
-            if step_valid(chosen, c):
+            # (placed) : cands[c] is generated by the variables x_r that
+            # some placed member's colon equals; the step passes iff every
+            # placed member's colon involves one of them, i.e. lies in the
+            # cover, the union of K over those r.
+            cover = 0
+            for w, k in colon_bits[c]:
+                if placed & w:
+                    cover |= k
+            if placed & ~cover == 0:
                 chosen.append(c)
                 if dfs(chosen_mask | bit):
                     return True

@@ -32,8 +32,12 @@ class ParsedIdeal:
     was_minimal: bool  # input rows already formed the minimal generating set
 
 
-def parse_ideal_details(text: str) -> ParsedIdeal:
-    """Parse the text format, reporting whether the input was minimal."""
+def parse_rows(text: str, expected_nvars: int | None = None):
+    """Parse the text format into (nvars, rows) without minimalizing.
+
+    Rows keep their input order and multiplicity.  When ``expected_nvars``
+    is given, a header declaring another count is an error.
+    """
     nvars = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -49,6 +53,12 @@ def parse_ideal_details(text: str) -> ParsedIdeal:
             nvars = int(m.group(1))
             if nvars < 1:
                 raise IdealFormatError("variable count must be positive", lineno)
+            if expected_nvars is not None and nvars != expected_nvars:
+                raise IdealFormatError(
+                    f"header declares {nvars} variables, expected "
+                    f"{expected_nvars}",
+                    lineno,
+                )
             continue
         row = []
         for tok in re.finditer(r"\S+", line):
@@ -71,6 +81,12 @@ def parse_ideal_details(text: str) -> ParsedIdeal:
         rows.append(tuple(row))
     if nvars is None:
         raise IdealFormatError("missing 'n=<count>' header", 1)
+    return nvars, rows
+
+
+def parse_ideal_details(text: str) -> ParsedIdeal:
+    """Parse the text format, reporting whether the input was minimal."""
+    nvars, rows = parse_rows(text)
     ideal = minimalize(nvars, rows)
     was_minimal = len(rows) == len(set(rows)) == len(ideal.gens)
     return ParsedIdeal(ideal, was_minimal)

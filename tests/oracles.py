@@ -106,3 +106,63 @@ def naive_dual_exchange(ideal):
 
 def ideal_of(nvars, gens):
     return minimalize(nvars, gens)
+
+
+def naive_search_extension(base, cands, budget):
+    """Reference admissible-order search over a pairwise colon table.
+
+    Mirrors the library's search step for step: candidates are tried in
+    the given order, a failed set of placed candidates is never expanded
+    twice, every attempted placement is one node and the search gives up
+    once the nodes exceed the budget.  A step is checked pair by pair:
+    the colon of the placed generators against the candidate is
+    variable-generated iff each placed generator's colon (from
+    naive_colon_gens) involves a variable that is itself some placed
+    generator's colon.  Returns (status, order, nodes).
+    """
+    universe = list(base) + list(cands)
+    colon = {
+        (l, c): naive_colon_gens([g], v)[0]
+        for l, g in enumerate(universe)
+        for c, v in enumerate(cands)
+    }
+    chosen = []
+    dead = set()
+    nodes = 0
+
+    def step_valid(c):
+        placed = list(range(len(base))) + [len(base) + k for k in chosen]
+        cols = [colon[l, c] for l in placed]
+        variables = {q.index(1) for q in cols if sum(q) == 1}
+        return all(any(q[r] for r in variables) for q in cols)
+
+    class OutOfBudget(Exception):
+        pass
+
+    def dfs():
+        nonlocal nodes
+        if len(chosen) == len(cands):
+            return True
+        key = frozenset(chosen)
+        if key in dead:
+            return False
+        for c in range(len(cands)):
+            if c in chosen:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise OutOfBudget
+            if step_valid(c):
+                chosen.append(c)
+                if dfs():
+                    return True
+                chosen.pop()
+        dead.add(key)
+        return False
+
+    try:
+        if dfs():
+            return "found", tuple(cands[c] for c in chosen), nodes
+        return "exhausted", None, nodes
+    except OutOfBudget:
+        return "budget-exceeded", None, nodes

@@ -120,6 +120,33 @@ def test_verify_order_command(tmp_path, capsys):
     assert report["fail_index"] == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # header disagreeing with the ideal's variable count
+        ("n=3\n5 6 0\n", "line 1, column 1: header declares 3 variables, expected 2"),
+        # a header-like first line that is not 'n=<count>'
+        ("nvars 2\n5 6\n", "line 1, column 1: expected header 'n=<count>'"),
+        ("5 6\n4 12\n", "line 1, column 1: expected header 'n=<count>'"),
+        # bad tokens carry their line and column
+        ("n=2\n5 6\n# note\n4 x1\n", "line 4, column 3: exponent 'x1' is not an integer"),
+        ("n=2\n5 6\n  -4 12\n", "line 3, column 3: exponent -4 is negative"),
+        ("n=2\n5 6 0\n", "line 2, column 1: expected 2 exponents, got 3"),
+    ],
+    ids=["header-mismatch", "loose-header", "no-header", "bad-token",
+         "negative", "row-length"],
+)
+def test_verify_order_rejects_malformed_order_file(tmp_path, capsys, text, message):
+    ipath = write_ideal(tmp_path, "i.txt", ideal(2, *SEVEN_GENS))
+    opath = tmp_path / "order.txt"
+    opath.write_text(text)
+    code = main(["verify-order", "--input", ipath, "--order", str(opath)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert f"polyquot: error: {message}" in captured.err
+
+
 def test_product_command(tmp_path, capsys):
     A = ideal(2, (2, 0), (1, 2), (0, 3))
     B = ideal(2, (3, 0), (1, 1), (0, 2))

@@ -13,6 +13,7 @@ from polyquot import (
     ZeroIdealError,
     extends_by_linear_quotients,
     find_admissible_order,
+    graded_component,
     has_componentwise_linear_quotients,
     is_admissible_order,
     minimalize,
@@ -20,9 +21,13 @@ from polyquot import (
     veronese,
     zero_ideal,
 )
-from polyquot.families import iter_equigenerated_ideals
+from polyquot.families import iter_equigenerated_ideals, random_antichain
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
-from oracles import naive_has_admissible_order, naive_order_admissible
+from oracles import (
+    naive_has_admissible_order,
+    naive_order_admissible,
+    naive_search_extension,
+)
 
 
 def random_ideal(rng, n, max_exp, max_gens):
@@ -125,6 +130,62 @@ def test_budget_semantics():
     full = find_admissible_order(I)
     again = find_admissible_order(I)
     assert full.nodes == again.nodes  # deterministic node counts
+
+
+def test_search_matches_pairwise_reference():
+    # the bitset kernel against the pairwise reference: same verdict, same
+    # order and same node count, with and without a fixed prefix
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(400):
+        I = random_antichain(rng, rng.randint(1, 4), 3, 7)
+        if rng.random() < 0.5:
+            I = graded_component(I, rng.randint(I.mindeg, I.maxdeg))
+        if len(I.gens) > 12:
+            continue
+        budget = rng.choice((0, 1, 7, 10**6))
+        inner = minimalize(
+            I.nvars, [g for g in I.gens if rng.random() < 0.3]
+        )
+        cands = tuple(g for g in I.gens if g not in inner.gen_set)
+        for out, ref in (
+            (find_admissible_order(I, budget),
+             naive_search_extension((), I.gens, budget)),
+            (extends_by_linear_quotients(inner, I, budget),
+             naive_search_extension(inner.gens, cands, budget)),
+        ):
+            assert (out.status, out.order, out.nodes) == ref
+            seen.add(out.status)
+    assert seen == {FOUND, EXHAUSTED, BUDGET_EXCEEDED}
+
+
+# node counts recorded before the search moved to bitsets
+EXHAUSTED_9 = [(3, 2, 1, 0), (2, 3, 1, 0), (2, 2, 2, 0), (2, 2, 1, 1),
+               (2, 1, 3, 0), (1, 2, 3, 0), (1, 1, 4, 0), (1, 1, 3, 1),
+               (0, 3, 2, 1)]
+EXHAUSTED_10 = [(1, 2, 3, 0), (1, 2, 1, 2), (1, 0, 3, 2), (0, 3, 3, 0),
+                (0, 2, 4, 0), (0, 2, 3, 1), (0, 2, 0, 4), (0, 1, 3, 2),
+                (0, 0, 4, 2), (0, 0, 3, 3)]
+
+
+@pytest.mark.parametrize(
+    "nvars, inner, gens, status, nodes",
+    [
+        (2, [], SEVEN_GENS, FOUND, 90),
+        (2, [], [(3, 0), (0, 3)], EXHAUSTED, 4),
+        (4, [], EXHAUSTED_9, EXHAUSTED, 623),
+        (4, [], EXHAUSTED_10, EXHAUSTED, 584),
+        (2, [(5, 6)], SEVEN_GENS, FOUND, 16),
+        (2, [(9, 5), (10, 4)], SEVEN_GENS, EXHAUSTED, 12),
+        (4, [(1, 1, 4, 0)], EXHAUSTED_9, EXHAUSTED, 228),
+        (4, [(2, 2, 2, 0), (2, 2, 1, 1)], EXHAUSTED_9, EXHAUSTED, 200),
+    ],
+)
+def test_search_node_counts_pinned(nvars, inner, gens, status, nodes):
+    out = extends_by_linear_quotients(
+        minimalize(nvars, inner), ideal(nvars, *gens)
+    )
+    assert (out.status, out.nodes) == (status, nodes)
 
 
 def test_prefix_pruning_is_safe():
