@@ -34,13 +34,7 @@ from .exchange import (
     is_componentwise_sep,
     satisfies_strong_exchange,
 )
-from .quotients import (
-    FOUND,
-    GeneratorOrder,
-    _first_bad_step,
-    extends_by_linear_quotients,
-    is_admissible_order,
-)
+from .quotients import GeneratorOrder, _first_bad_step, is_admissible_order
 
 
 class ChainVerificationError(RuntimeError):
@@ -167,6 +161,11 @@ def sep_factorization(ideal: MonomialIdeal):
             "ideal does not satisfy the strong exchange property "
             f"(witness {chk.witness})"
         )
+    return _factor(ideal)
+
+
+def _factor(ideal: MonomialIdeal):
+    """sep_factorization without the strong-exchange check."""
     n = ideal.nvars
     gens = ideal.gens
     u = tuple(min(g[i] for g in gens) for i in range(n))
@@ -250,16 +249,14 @@ def chain_raise_caps(src: VeroneseSpec, dst: VeroneseSpec) -> ExtensionChain:
     return _verified(src.ideal(), cur.ideal(), appended)
 
 
-def chain_absorb_maximal_ideal(spec: VeroneseSpec, budget: int = 10**6) -> ExtensionChain:
+def chain_absorb_maximal_ideal(spec: VeroneseSpec) -> ExtensionChain:
     """Chain from (x_1, ..., x_n) * I_(d; a) to I_(d+1; a + 1).
 
     The start ideal's generators are the degree-(d+1) monomials exceeding
     at most one cap by one.  The remaining target generators are appended
     in the cap-raising sweep order (highest over-cap variable first, then
     descending lex), which restricts the absorb-one-variable chain
-    followed by cap raises to the missing part.  If that candidate order
-    ever failed verification, a backtracking search supplies an order
-    instead.
+    followed by cap raises to the missing part.
     """
     n = spec.nvars
     start = product(maximal_ideal(n), spec.ideal())
@@ -271,17 +268,7 @@ def chain_absorb_maximal_ideal(spec: VeroneseSpec, budget: int = 10**6) -> Exten
         over = max(i for i in range(n) if g[i] > caps[i])
         return (over, tuple(-e for e in g))
 
-    candidate = sorted(fresh, key=sweep_key)
-    try:
-        return _verified(start, end, candidate)
-    except ChainVerificationError:
-        res = extends_by_linear_quotients(start, end, budget)
-        if res.status != FOUND:
-            raise ChainVerificationError(
-                "no extension order found for the maximal-ideal step "
-                f"({res.status})"
-            )
-        return _verified(start, end, res.order)
+    return _verified(start, end, sorted(fresh, key=sweep_key))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +296,7 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     n = ideal.nvars
     lo, hi = ideal.mindeg, ideal.maxdeg
     comps = {j: graded_component(ideal, j) for j in range(lo, hi + 1)}
-    factors = {j: sep_factorization(comps[j]) for j in range(lo, hi + 1)}
+    factors = {j: _factor(comps[j]) for j in range(lo, hi + 1)}
 
     order = sorted(comps[lo].gens, reverse=True)
     for j in range(lo, hi):
@@ -339,7 +326,6 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
                 f"composite chain for degrees {j} -> {j + 1} does not end at "
                 "the graded component"
             )
-        verify_chain(composite.start, composite.end, composite.appended)
         new_true = tuple(
             g for g in ideal.gen_set if sum(g) == j + 1
         )
@@ -350,6 +336,9 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
             )
         order.extend(composite.appended)
 
+    # the composite chains are not verified again here: the ideal of the
+    # lower-degree generators placed before degree j+1 and m * I_<j> agree
+    # in every degree >= j+1, so this check sees the same colons
     result = GeneratorOrder(ideal, tuple(order))
     chk = is_admissible_order(result)
     if not chk:

@@ -111,6 +111,10 @@ def _witness_json(w):
     }
 
 
+def _check_json(chk, **extra):
+    return {"ok": chk.ok, "witness": _witness_json(chk.witness), **extra}
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -150,30 +154,18 @@ def _cmd_classify(args) -> int:
     if ideal.is_zero:
         raise ZeroIdealError("cannot classify the zero ideal")
     t0 = time.perf_counter()
-    verdicts = {}
-    npe = satisfies_nonpure_exchange(ideal)
-    npd = satisfies_nonpure_dual_exchange(ideal)
-    verdicts["nonpure_exchange"] = {"ok": npe.ok, "witness": _witness_json(npe.witness)}
-    verdicts["nonpure_dual_exchange"] = {
-        "ok": npd.ok,
-        "witness": _witness_json(npd.witness),
-    }
     cw = is_componentwise_polymatroidal(ideal)
-    verdicts["componentwise_polymatroidal"] = {
-        "ok": cw.ok,
-        "degree": cw.degree,
-        "witness": _witness_json(cw.witness),
+    verdicts = {
+        "nonpure_exchange": _check_json(satisfies_nonpure_exchange(ideal)),
+        "nonpure_dual_exchange": _check_json(satisfies_nonpure_dual_exchange(ideal)),
+        "componentwise_polymatroidal": _check_json(cw, degree=cw.degree),
+        "componentwise_sep": {"ok": is_componentwise_sep(ideal)},
     }
-    verdicts["componentwise_sep"] = {"ok": is_componentwise_sep(ideal)}
     if ideal.is_equigenerated:
         poly = is_polymatroidal(ideal)
-        verdicts["polymatroidal"] = {"ok": poly.ok, "witness": _witness_json(poly.witness)}
+        verdicts["polymatroidal"] = _check_json(poly)
         if poly.ok:
-            strong = satisfies_strong_exchange(ideal)
-            verdicts["strong_exchange"] = {
-                "ok": strong.ok,
-                "witness": _witness_json(strong.witness),
-            }
+            verdicts["strong_exchange"] = _check_json(satisfies_strong_exchange(ideal))
     report = {
         "schema": SCHEMA,
         "command": "classify",
@@ -264,11 +256,7 @@ def _cmd_product(args) -> int:
     }
     if not result.is_zero:
         cw = is_componentwise_polymatroidal(result)
-        report["componentwise_polymatroidal"] = {
-            "ok": cw.ok,
-            "degree": cw.degree,
-            "witness": _witness_json(cw.witness),
-        }
+        report["componentwise_polymatroidal"] = _check_json(cw, degree=cw.degree)
         if result.nvars == 2:
             s, t, core, cls = tight_factorization(result)
             report["bivariate"] = {

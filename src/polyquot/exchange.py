@@ -1,6 +1,9 @@
 """Exchange-property predicates on minimal generators, with failure witnesses.
 
-Every predicate walks the generator pairs in canonical order (as stored on
+The four predicates share one sweep, ``_exchange_failure``: it moves one
+generator of each pair by x_j / x_i (x_i / x_j for the dual property) and
+asks some partner j, or every one for strong exchange, to land in the
+ideal.  It walks the generator pairs in canonical order (as stored on
 the ideal), the exchanged variable index ascending, and stops at the first
 failure, so the reported witness is deterministic.  A failing witness is
 independently re-checkable: replaying (u, v, i) against membership must
@@ -87,6 +90,65 @@ def _require_equigenerated(ideal: MonomialIdeal) -> None:
         )
 
 
+def _exchange_failure(pairs, n, sign, members, every):
+    """First failing (moved, other, i, missing) of the exchange sweep, or None.
+
+    For each (w, o) in ``pairs`` and each i with sign * (w_i - o_i) > 0,
+    the partners are the j with sign * (w_j - o_j) < 0 and the exchange
+    monomials are x_j * w / x_i (sign +1) or x_i * w / x_j (sign -1).  One
+    of them, or with ``every`` each of them, must lie in ``members``;
+    ``missing`` is the first absent one, None if there is no partner.
+    """
+    for w, o in pairs:
+        a, b = (w, o) if sign > 0 else (o, w)
+        for i in range(n):
+            if a[i] <= b[i]:
+                continue
+            base = list(w)
+            base[i] -= sign
+            missing = None
+            for j in range(n):
+                if a[j] >= b[j]:
+                    continue
+                base[j] += sign
+                cand = tuple(base)
+                base[j] -= sign
+                if cand in members:
+                    if not every:
+                        break  # some partner works
+                elif every:
+                    return w, o, i, cand  # a partner fails
+                elif missing is None:
+                    missing = cand
+            else:
+                if not every:
+                    return w, o, i, missing  # no partner works
+    return None
+
+
+def _one_degree_failure(ideal: MonomialIdeal, every: bool):
+    """The sweep over all ordered pairs of an equigenerated ideal; u moves."""
+    gens = ideal.gens
+    pairs = ((u, v) for u in gens for v in gens if u is not v)
+    return _exchange_failure(pairs, ideal.nvars, 1, ideal.gen_set, every)
+
+
+def _nonpure_check(ideal: MonomialIdeal, sign: int) -> ExchangeCheck:
+    """The sweep over the pairs with deg(u) <= deg(v), where v moves."""
+    _require_nonzero(ideal)
+    gens = ideal.gens
+    pairs = ((v, u) for u in gens for v in gens if u is not v and sum(u) <= sum(v))
+    failure = _exchange_failure(pairs, ideal.nvars, sign, ideal, False)
+    if failure is None:
+        return _PASS
+    v, u, i, missing = failure
+    return ExchangeCheck(False, ExchangeWitness(u, v, i, missing))
+
+
+def _check(failure) -> ExchangeCheck:
+    return _PASS if failure is None else ExchangeCheck(False, ExchangeWitness(*failure))
+
+
 def is_polymatroidal(ideal: MonomialIdeal) -> ExchangeCheck:
     """Exchange property for an equigenerated ideal.
 
@@ -97,32 +159,7 @@ def is_polymatroidal(ideal: MonomialIdeal) -> ExchangeCheck:
     """
     _require_nonzero(ideal)
     _require_equigenerated(ideal)
-    gens = ideal.gens
-    gen_set = ideal.gen_set
-    n = ideal.nvars
-    for u in gens:
-        for v in gens:
-            if u is v:
-                continue
-            for i in range(n):
-                if u[i] <= v[i]:
-                    continue
-                base = list(u)
-                base[i] -= 1
-                missing = None
-                for j in range(n):
-                    if u[j] >= v[j]:
-                        continue
-                    base[j] += 1
-                    cand = tuple(base)
-                    base[j] -= 1
-                    if cand in gen_set:
-                        break
-                    if missing is None:
-                        missing = cand
-                else:
-                    return ExchangeCheck(False, ExchangeWitness(u, v, i, missing))
-    return _PASS
+    return _check(_one_degree_failure(ideal, False))
 
 
 def satisfies_nonpure_exchange(ideal: MonomialIdeal) -> ExchangeCheck:
@@ -131,33 +168,7 @@ def satisfies_nonpure_exchange(ideal: MonomialIdeal) -> ExchangeCheck:
     For u, v in G(I) with deg(u) <= deg(v) and every i with v_i > u_i,
     some j with v_j < u_j must make x_j * v / x_i a member of the ideal.
     """
-    _require_nonzero(ideal)
-    gens = ideal.gens
-    n = ideal.nvars
-    degs = [sum(g) for g in gens]
-    for iu, u in enumerate(gens):
-        for iv, v in enumerate(gens):
-            if iu == iv or degs[iu] > degs[iv]:
-                continue
-            for i in range(n):
-                if v[i] <= u[i]:
-                    continue
-                base = list(v)
-                base[i] -= 1
-                missing = None
-                for j in range(n):
-                    if v[j] >= u[j]:
-                        continue
-                    base[j] += 1
-                    cand = tuple(base)
-                    base[j] -= 1
-                    if ideal.contains(cand):
-                        break
-                    if missing is None:
-                        missing = cand
-                else:
-                    return ExchangeCheck(False, ExchangeWitness(u, v, i, missing))
-    return _PASS
+    return _nonpure_check(ideal, 1)
 
 
 def satisfies_nonpure_dual_exchange(ideal: MonomialIdeal) -> ExchangeCheck:
@@ -166,33 +177,7 @@ def satisfies_nonpure_dual_exchange(ideal: MonomialIdeal) -> ExchangeCheck:
     For u, v in G(I) with deg(u) <= deg(v) and every i with v_i < u_i,
     some j with v_j > u_j must make x_i * v / x_j a member of the ideal.
     """
-    _require_nonzero(ideal)
-    gens = ideal.gens
-    n = ideal.nvars
-    degs = [sum(g) for g in gens]
-    for iu, u in enumerate(gens):
-        for iv, v in enumerate(gens):
-            if iu == iv or degs[iu] > degs[iv]:
-                continue
-            for i in range(n):
-                if v[i] >= u[i]:
-                    continue
-                base = list(v)
-                base[i] += 1
-                missing = None
-                for j in range(n):
-                    if v[j] <= u[j]:
-                        continue
-                    base[j] -= 1
-                    cand = tuple(base)
-                    base[j] += 1
-                    if ideal.contains(cand):
-                        break
-                    if missing is None:
-                        missing = cand
-                else:
-                    return ExchangeCheck(False, ExchangeWitness(u, v, i, missing))
-    return _PASS
+    return _nonpure_check(ideal, -1)
 
 
 def satisfies_strong_exchange(ideal: MonomialIdeal) -> ExchangeCheck:
@@ -204,34 +189,17 @@ def satisfies_strong_exchange(ideal: MonomialIdeal) -> ExchangeCheck:
     """
     _require_nonzero(ideal)
     _require_equigenerated(ideal)
+    failure = _one_degree_failure(ideal, True)
+    if failure is None:
+        # within one degree every (u, v, i) has a partner j, so strong
+        # exchange implies the exchange property
+        return _PASS
     chk = is_polymatroidal(ideal)
     if not chk:
         raise NotPolymatroidalError(
             f"ideal is not polymatroidal (witness {chk.witness})"
         )
-    gens = ideal.gens
-    gen_set = ideal.gen_set
-    n = ideal.nvars
-    for u in gens:
-        for v in gens:
-            if u is v:
-                continue
-            for i in range(n):
-                if u[i] <= v[i]:
-                    continue
-                base = list(u)
-                base[i] -= 1
-                for j in range(n):
-                    if u[j] >= v[j]:
-                        continue
-                    base[j] += 1
-                    cand = tuple(base)
-                    base[j] -= 1
-                    if cand not in gen_set:
-                        return ExchangeCheck(
-                            False, ExchangeWitness(u, v, i, cand)
-                        )
-    return _PASS
+    return _check(failure)
 
 
 def is_componentwise_polymatroidal(ideal: MonomialIdeal) -> ComponentCheck:
@@ -253,13 +221,12 @@ def is_componentwise_sep(ideal: MonomialIdeal) -> bool:
     """Every graded component is polymatroidal with the strong exchange
     property."""
     _require_nonzero(ideal)
-    for j in range(ideal.mindeg, ideal.maxdeg + 1):
-        comp = graded_component(ideal, j)
-        if not is_polymatroidal(comp):
-            return False
-        if not satisfies_strong_exchange(comp):
-            return False
-    return True
+    # strong exchange within one degree implies the exchange property, so
+    # the strong sweep alone decides each component
+    return all(
+        _one_degree_failure(graded_component(ideal, j), True) is None
+        for j in range(ideal.mindeg, ideal.maxdeg + 1)
+    )
 
 
 def exchange_walk(

@@ -47,7 +47,23 @@ class GeneratorOrder:
         order = tuple(tuple(g) for g in self.order)
         object.__setattr__(self, "order", order)
         if len(order) != len(self.ideal.gens) or set(order) != self.ideal.gen_set:
-            raise ValueError("order is not a permutation of the minimal generators")
+            raise ValueError(_permutation_fault(order, self.ideal))
+
+
+def _permutation_fault(order: tuple, ideal: MonomialIdeal) -> str:
+    """Name the first row (0-based) that is not a minimal generator or
+    repeats an earlier row, else the first minimal generator missing."""
+    head = "order is not a permutation of the minimal generators: "
+    seen = {}
+    for k, g in enumerate(order):
+        row = f"{head}position {k} ({' '.join(map(str, g))})"
+        if g not in ideal.gen_set:
+            return f"{row} is not a minimal generator"
+        if g in seen:
+            return f"{row} repeats position {seen[g]}"
+        seen[g] = k
+    missing = next(g for g in ideal.gens if g not in seen)
+    return f"{head}minimal generator ({' '.join(map(str, missing))}) is missing"
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,70 @@ def naive_dual_exchange(ideal):
     return True
 
 
+def naive_exchange_witness(ideal, mode):
+    """First failing (u, v, index, missing) of an exchange predicate, or None.
+
+    Written from the definitions, with membership by divisibility.  Pairs
+    run over the generators in stored order, then the index i ascending,
+    then the partner j ascending:
+
+    - ``exchange``: u != v, u_i > v_i, some j with u_j < v_j has
+      x_j * u / x_i in the ideal;
+    - ``strong``: the same pairs, but every such j must work;
+    - ``nonpure``: deg u <= deg v, v_i > u_i, some j with v_j < u_j has
+      x_j * v / x_i in the ideal;
+    - ``dual``: deg u <= deg v, v_i < u_i, some j with v_j > u_j has
+      x_i * v / x_j in the ideal.
+
+    ``missing`` is the first absent exchange monomial, or None when no
+    partner index j exists.
+    """
+    gens = list(ideal.gens)
+    n = ideal.nvars
+
+    def member(w):
+        return any(naive_divides(g, w) for g in gens)
+
+    def exchanged(w, down, up):
+        w = list(w)
+        w[down] -= 1
+        w[up] += 1
+        return tuple(w)
+
+    for u in gens:
+        for v in gens:
+            if u == v:
+                continue
+            if mode in ("nonpure", "dual") and sum(u) > sum(v):
+                continue
+            for i in range(n):
+                if mode in ("exchange", "strong"):
+                    if u[i] <= v[i]:
+                        continue
+                    partners = [j for j in range(n) if u[j] < v[j]]
+                    cands = [exchanged(u, i, j) for j in partners]
+                elif mode == "nonpure":
+                    if v[i] <= u[i]:
+                        continue
+                    partners = [j for j in range(n) if v[j] < u[j]]
+                    cands = [exchanged(v, i, j) for j in partners]
+                elif mode == "dual":
+                    if v[i] >= u[i]:
+                        continue
+                    partners = [j for j in range(n) if v[j] > u[j]]
+                    cands = [exchanged(v, j, i) for j in partners]
+                else:
+                    raise ValueError(f"unknown mode {mode!r}")
+                absent = [c for c in cands if not member(c)]
+                missing = absent[0] if absent else None
+                if mode == "strong":
+                    if absent:
+                        return u, v, i, missing
+                elif len(absent) == len(cands):
+                    return u, v, i, missing
+    return None
+
+
 def ideal_of(nvars, gens):
     return minimalize(nvars, gens)
 

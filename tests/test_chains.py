@@ -177,9 +177,27 @@ def test_absorb_maximal_ideal():
     assert unitish.start == unitish.end == maximal_ideal(2)
 
 
+def test_absorb_maximal_ideal_box():
+    # the sweep order verifies on every distinct spec with n <= 4 and
+    # d <= 5 (d <= 3 for n = 4); chain_absorb_maximal_ideal has no other
+    # way to build the chain, so a failure here raises
+    specs = set()
+    for n in range(1, 5):
+        for d in range(0, (3 if n == 4 else 5) + 1):
+            for caps in itertools.product(range(d + 1), repeat=n):
+                if sum(caps) >= d:
+                    specs.add(VeroneseSpec(n, d, caps))
+    assert len(specs) == 766
+    for spec in specs:
+        n, d = spec.nvars, spec.degree
+        ch = chain_absorb_maximal_ideal(spec)
+        assert ch.start == product(maximal_ideal(n), spec.ideal())
+        assert ch.end == veronese(n, d + 1, tuple(c + 1 for c in spec.caps))
+
+
 def test_absorb_maximal_ideal_fallback_search_agrees():
-    # the backtracking fallback must be able to produce the same extension
-    # the sweep candidate provides
+    # the general search (extends_by_linear_quotients) also finds a valid
+    # extension order for the maximal-ideal step the sweep order provides
     rng = random.Random(131)
     for _ in range(10):
         n = rng.randint(2, 3)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,10 @@ def test_verify_order_command(tmp_path, capsys):
     assert report["fail_index"] == 2
 
 
+# SEVEN_ORDER in the order-file format
+SEVEN_TEXT = "n=2\n" + "".join(f"{a} {b}\n" for a, b in SEVEN_ORDER)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -132,9 +137,20 @@ def test_verify_order_command(tmp_path, capsys):
         ("n=2\n5 6\n# note\n4 x1\n", "line 4, column 3: exponent 'x1' is not an integer"),
         ("n=2\n5 6\n  -4 12\n", "line 3, column 3: exponent -4 is negative"),
         ("n=2\n5 6 0\n", "line 2, column 1: expected 2 exponents, got 3"),
+        # well-formed rows that are not a permutation of G(I)
+        (SEVEN_TEXT.replace("4 12", "4 11"),
+         "order is not a permutation of the minimal generators: "
+         "position 1 (4 11) is not a minimal generator"),
+        (SEVEN_TEXT.replace("4 12", "5 6"),
+         "order is not a permutation of the minimal generators: "
+         "position 1 (5 6) repeats position 0"),
+        (SEVEN_TEXT.replace("4 12\n", ""),
+         "order is not a permutation of the minimal generators: "
+         "minimal generator (4 12) is missing"),
     ],
     ids=["header-mismatch", "loose-header", "no-header", "bad-token",
-         "negative", "row-length"],
+         "negative", "row-length", "not-a-generator", "repeated-row",
+         "missing-generator"],
 )
 def test_verify_order_rejects_malformed_order_file(tmp_path, capsys, text, message):
     ipath = write_ideal(tmp_path, "i.txt", ideal(2, *SEVEN_GENS))
@@ -145,6 +161,29 @@ def test_verify_order_rejects_malformed_order_file(tmp_path, capsys, text, messa
     assert code == EXIT_ERROR
     assert captured.out == ""
     assert f"polyquot: error: {message}" in captured.err
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+GOLDEN_INPUTS = {p.stem: p for p in GOLDEN.glob("*.txt")}
+GOLDEN_INPUTS["i3"] = DATA / "i3.txt"
+
+
+@pytest.mark.parametrize("command", ["classify", "sep-order"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_golden_reports(capsys, name, command):
+    # `polyquot <command> --input <name>.txt --json` with the timing_ms line
+    # dropped must reproduce tests/data/golden/<name>.<command>.json byte
+    # for byte
+    code = main([command, "--input", str(GOLDEN_INPUTS[name]), "--json"])
+    out = capsys.readouterr().out
+    text = "".join(
+        line for line in out.splitlines(True)
+        if not line.startswith('  "timing_ms": ')
+    )
+    assert text == (GOLDEN / f"{name}.{command}.json").read_text()
+    ok = command == "classify" or json.loads(text)["ok"]
+    assert code == (EXIT_OK if ok else EXIT_PREDICATE_FALSE)
 
 
 def test_product_command(tmp_path, capsys):

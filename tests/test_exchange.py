@@ -1,5 +1,6 @@
 """Exchange predicates against the worked examples and small exhaustive boxes."""
 
+import functools
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from polyquot import (
     DualExchangeViolationError,
+    ExchangeWitness,
     NotEquigeneratedError,
     NotPolymatroidalError,
     ZeroIdealError,
@@ -26,9 +28,9 @@ from polyquot import (
     veronese,
     zero_ideal,
 )
-from polyquot.families import iter_equigenerated_ideals
+from polyquot.families import iter_equigenerated_ideals, random_componentwise_sep
 from conftest import ideal, DUAL_ONLY, NONPURE_ONLY, SQUARE_REGRESSION
-from oracles import naive_dual_exchange
+from oracles import naive_dual_exchange, naive_exchange_witness
 
 
 def replay_witness(I, w, mode):
@@ -134,48 +136,82 @@ def test_equivalence_with_dual_exchange_exhaustive():
         assert bool(is_polymatroidal(I)) == bool(satisfies_nonpure_dual_exchange(I))
 
 
-def test_witness_is_canonical_first():
-    # the reported witness is the first failing (u, v, i) when pairs run in
-    # canonical generator order with the variable index ascending
-    def first_failing_dual(I):
-        gens = I.gens
-        n = I.nvars
-        for u in gens:
-            for v in gens:
-                if u == v or sum(u) > sum(v):
-                    continue
-                for i in range(n):
-                    if v[i] >= u[i]:
-                        continue
-                    hit = False
-                    for j in range(n):
-                        if v[j] <= u[j]:
-                            continue
-                        cand = list(v)
-                        cand[i] += 1
-                        cand[j] -= 1
-                        if contains(I, tuple(cand)):
-                            hit = True
-                            break
-                    if not hit:
-                        return u, v, i
-        return None
-
+@functools.lru_cache(maxsize=None)
+def _witness_corpus():
+    """Fixed corpus: random 2-4 variable ideals, random componentwise
+    strong-exchange and transversal ideals, and their graded components
+    of up to 40 generators."""
     rng = random.Random(211)
-    seen = 0
+    ideals = []
     for _ in range(300):
         n = rng.randint(2, 4)
-        I = minimalize(n, [tuple(rng.randint(0, 3) for _ in range(n))
-                           for _ in range(rng.randint(2, 5))])
-        res = satisfies_nonpure_dual_exchange(I)
-        if res:
-            continue
-        seen += 1
-        w = res.witness
-        assert (w.u, w.v, w.index) == first_failing_dual(I)
-        again = satisfies_nonpure_dual_exchange(I)
-        assert again.witness == w
-    assert seen > 20
+        ideals.append(minimalize(n, [tuple(rng.randint(0, 3) for _ in range(n))
+                                     for _ in range(rng.randint(2, 5))]))
+    sep_rng = random.Random(7)
+    for _ in range(30):
+        ideals.append(random_componentwise_sep(sep_rng, sep_rng.randint(2, 4), 4))
+    # transversal ideals (x_a, x_b)(x_c, x_e)(x_k : k in S) over a shuffle
+    # a, b, c, e of four variables: polymatroidal without strong exchange
+    def prime(support):
+        return minimalize(4, [tuple(int(k == i) for k in range(4))
+                              for i in support])
+
+    for _ in range(40):
+        perm = rng.sample(range(4), 4)
+        T = product(prime(perm[:2]), prime(perm[2:]))
+        ideals.append(product(T, prime(rng.sample(range(4), rng.randint(1, 4)))))
+    comps = []
+    for I in ideals:
+        for j in range(I.mindeg, I.maxdeg + 1):
+            comp = graded_component(I, j)
+            if len(comp.gens) <= 40:
+                comps.append(comp)
+    return ideals, comps
+
+
+def test_witness_is_canonical_first():
+    # the reported witness is the first failing (u, v, index, missing) when
+    # pairs run in canonical generator order, the index ascending and the
+    # partner index ascending; checked against a definition-level oracle
+    ideals, comps = _witness_corpus()
+    predicates = {
+        "nonpure": satisfies_nonpure_exchange,
+        "dual": satisfies_nonpure_dual_exchange,
+        "exchange": is_polymatroidal,
+        "strong": satisfies_strong_exchange,
+    }
+    seen = dict.fromkeys(predicates, 0)
+    for I in ideals + comps:
+        modes = ["nonpure", "dual"]
+        if I.is_equigenerated:
+            modes.append("exchange")
+            if is_polymatroidal(I):
+                modes.append("strong")
+            else:
+                with pytest.raises(NotPolymatroidalError):
+                    satisfies_strong_exchange(I)
+        for mode in modes:
+            res = predicates[mode](I)
+            expected = naive_exchange_witness(I, mode)
+            assert res.ok == (expected is None)
+            if expected is not None:
+                seen[mode] += 1
+                assert res.witness == ExchangeWitness(*expected)
+    assert min(seen.values()) > 20, seen
+
+
+def test_componentwise_sep_is_strong_exchange_on_components():
+    ideals, _ = _witness_corpus()
+    held = 0
+    for I in ideals:
+        expected = all(
+            is_polymatroidal(C) and satisfies_strong_exchange(C)
+            for C in (graded_component(I, j)
+                      for j in range(I.mindeg, I.maxdeg + 1))
+        )
+        assert is_componentwise_sep(I) == expected
+        held += expected
+    assert 30 <= held < len(ideals)
 
 
 def test_dual_exchange_matches_naive_oracle_random():
