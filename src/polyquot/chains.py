@@ -30,8 +30,10 @@ from .ideal import (
     veronese,
 )
 from .exchange import (
+    ExchangeWitness,
     NotPolymatroidalError,
-    is_componentwise_sep,
+    _one_degree_failure,
+    _require_nonzero,
     satisfies_strong_exchange,
 )
 from .quotients import GeneratorOrder, _first_bad_step, is_admissible_order
@@ -39,6 +41,22 @@ from .quotients import GeneratorOrder, _first_bad_step, is_admissible_order
 
 class ChainVerificationError(RuntimeError):
     """A constructed extension chain failed its step-wise colon check."""
+
+
+class NotComponentwiseSEPError(ValueError):
+    """Some graded component fails the strong exchange property.
+
+    ``degree`` is the lowest failing component and ``witness`` the first
+    failing (u, v, index, missing) of its strong-exchange sweep.
+    """
+
+    def __init__(self, degree: int, witness: ExchangeWitness):
+        super().__init__(
+            "ideal is not componentwise polymatroidal with the strong "
+            "exchange property"
+        )
+        self.degree = degree
+        self.witness = witness
 
 
 class ReconstructionError(RuntimeError):
@@ -286,16 +304,21 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     ideal into the spec, absorb x^(u-v), then raise caps to b.  The new
     minimal generators of degree j+1 — which are exactly the monomials the
     composite appends — join the order in chain position.  The assembled
-    order is checked before it is returned.
+    order is checked before it is returned.  An ideal some component of
+    which fails strong exchange raises :class:`NotComponentwiseSEPError`.
     """
-    if not is_componentwise_sep(ideal):
-        raise ValueError(
-            "ideal is not componentwise polymatroidal with the strong "
-            "exchange property"
-        )
+    _require_nonzero(ideal)
     n = ideal.nvars
     lo, hi = ideal.mindeg, ideal.maxdeg
-    comps = {j: graded_component(ideal, j) for j in range(lo, hi + 1)}
+    comps = {}
+    for j in range(lo, hi + 1):
+        comps[j] = graded_component(ideal, j)
+        # strong exchange within one degree implies the exchange property,
+        # so the strong sweep alone decides each component, as in
+        # is_componentwise_sep
+        failure = _one_degree_failure(comps[j], True)
+        if failure is not None:
+            raise NotComponentwiseSEPError(j, ExchangeWitness(*failure))
     factors = {j: _factor(comps[j]) for j in range(lo, hi + 1)}
 
     order = sorted(comps[lo].gens, reverse=True)

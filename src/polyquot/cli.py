@@ -57,7 +57,11 @@ from .quotients import (
     order_colon_variables,
 )
 from .bivariate import cwp_structural, tight_factorization, valley_order
-from .chains import ChainVerificationError, sep_admissible_order
+from .chains import (
+    ChainVerificationError,
+    NotComponentwiseSEPError,
+    sep_admissible_order,
+)
 from .families import iter_antichains, random_antichain
 from .textio import parse_ideal_details, parse_rows, serialize_ideal
 
@@ -204,6 +208,8 @@ def _cmd_order(args) -> int:
         "nodes": outcome.nodes,
         "order": [list(g) for g in outcome.order] if outcome.order else None,
     }
+    if outcome.witness is not None:
+        report["disconnected"] = [list(g) for g in outcome.witness]
     if outcome.status == FOUND:
         report["verified"] = bool(
             is_admissible_order(GeneratorOrder(ideal, outcome.order))
@@ -297,6 +303,9 @@ def _cmd_sep_order(args) -> int:
             "ok": False,
             "reason": str(exc),
         }
+        if isinstance(exc, NotComponentwiseSEPError):
+            report["degree"] = exc.degree
+            report["witness"] = _witness_json(exc.witness)
         _emit(report, args)
         return EXIT_PREDICATE_FALSE
     chk = is_admissible_order(order)

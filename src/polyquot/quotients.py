@@ -14,6 +14,10 @@ Search nodes count attempted placements.  Whether a generator may extend a
 partial order depends only on the *set* already placed, so failed prefix
 sets are memoized and an exhausted verdict is a complete proof that no
 admissible order exists.
+
+Before the search, an equigenerated ideal is tested for exchange
+connectivity: its generators must be joined by steps w -> x_r * w / x_s
+inside G(I), or no admissible order exists (see ``_exchange_disconnected``).
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ class SearchOutcome:
     status: str  # FOUND / EXHAUSTED / BUDGET_EXCEEDED
     order: Optional[tuple]  # the (partial-universe) ordering found
     nodes: int
+    # (u, v) no chain of exchange steps joins; set only when the
+    # connectivity refuter decided an exhausted outcome
+    witness: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -251,17 +258,61 @@ def _search_extension(base, cands, budget):
         return BUDGET_EXCEEDED, None, nodes
 
 
+def _exchange_disconnected(ideal: MonomialIdeal) -> Optional[tuple]:
+    """A pair of generators of an equigenerated ideal that no chain of
+    exchange steps joins.
+
+    An exchange step replaces w by x_r * w / x_s within the generator set.
+    In an admissible order u_1, ..., u_m each colon (u_1, ..., u_{i-1}) : u_i
+    with i >= 2 is generated by variables, each of them some u_l : u_i; in
+    one degree u_l : u_i = x_r means u_l = x_r * u_i / x_s.  So every
+    generator is one step from an earlier one, and a disconnected
+    generator set has no admissible order.  Returns (gens[0], the first
+    generator the breadth-first search from gens[0] misses), or None.
+    """
+    gens, gen_set = ideal.gens, ideal.gen_set
+    n = ideal.nvars
+    seen = {gens[0]}
+    queue = [gens[0]]
+    for w in queue:  # grows while it is walked: breadth first
+        for s in range(n):
+            if not w[s]:
+                continue
+            down = list(w)
+            down[s] -= 1
+            for r in range(n):
+                if r == s:
+                    continue
+                down[r] += 1
+                nb = tuple(down)
+                down[r] -= 1
+                if nb in gen_set and nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+    if len(seen) == len(gens):
+        return None
+    return gens[0], next(g for g in gens if g not in seen)
+
+
 def find_admissible_order(
     ideal: MonomialIdeal, budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
-    """Backtracking search for an admissible order of the minimal generators.
+    """Search for an admissible order of the minimal generators.
 
-    Candidates are tried in canonical generator order, so node counts are
-    reproducible.  ``exhausted`` is a proof that no admissible order
-    exists; ``budget-exceeded`` is inconclusive.
+    An equigenerated ideal whose generators are not connected by exchange
+    steps w -> x_r * w / x_s is refuted before any search: the outcome is
+    ``exhausted`` with 0 nodes and ``witness`` the pair (u, v) no chain of
+    steps joins.  Otherwise a backtracking search tries candidates in
+    canonical generator order, so node counts are reproducible.
+    ``exhausted`` is a proof that no admissible order exists;
+    ``budget-exceeded`` is inconclusive.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no generator ordering")
+    if ideal.is_equigenerated:
+        pair = _exchange_disconnected(ideal)
+        if pair is not None:
+            return SearchOutcome(EXHAUSTED, None, 0, pair)
     status, order, nodes = _search_extension((), ideal.gens, budget)
     return SearchOutcome(status, order, nodes)
 
@@ -272,8 +323,9 @@ def extends_by_linear_quotients(
     """Search for an ordering of G(outer) minus G(inner) extending inner.
 
     Requires G(inner) to be a subset of G(outer).  Found outcomes carry
-    the appended ordering; with a zero inner ideal this is exactly
-    :func:`find_admissible_order` on outer.
+    the appended ordering; with a zero inner ideal this is the DFS of
+    :func:`find_admissible_order` on outer, without its connectivity
+    refuter.
     """
     if inner.nvars != outer.nvars:
         raise ValueError("variable counts differ")
@@ -291,9 +343,12 @@ def has_componentwise_linear_quotients(
     """Run the admissible-order search over every graded component.
 
     Components beyond the top generator degree inherit linear quotients
-    from the top component, so only mindeg..maxdeg are searched.  The
-    verdict is False as soon as one component is exhausted, None when a
-    component ran out of budget and none was exhausted, True otherwise.
+    from the top component, so only mindeg..maxdeg are searched.  Each
+    component is equigenerated, so a component whose generators are not
+    connected by exchange steps is exhausted with 0 nodes by the
+    refuter of :func:`find_admissible_order`.  The verdict is False as
+    soon as one component is exhausted, None when a component ran out of
+    budget and none was exhausted, True otherwise.
     """
     if ideal.is_zero:
         raise ZeroIdealError("predicate undefined on the zero ideal")

@@ -168,6 +168,30 @@ def naive_exchange_witness(ideal, mode):
     return None
 
 
+def naive_exchange_connected(gens):
+    """Are equigenerated generators joined by chains of exchange steps?
+
+    From the definition: u and v of degree d are one step apart when
+    deg lcm(u, v) = d + 1; the generators are connected when every one is
+    reached from the first along such edges.
+    """
+    gens = [tuple(g) for g in gens]
+    d = sum(gens[0])
+
+    def adjacent(u, v):
+        return sum(max(a, b) for a, b in zip(u, v)) == d + 1
+
+    reached = {0}
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        for l in range(len(gens)):
+            if l not in reached and adjacent(gens[k], gens[l]):
+                reached.add(l)
+                stack.append(l)
+    return len(reached) == len(gens)
+
+
 def ideal_of(nvars, gens):
     return minimalize(nvars, gens)
 

@@ -7,7 +7,9 @@ import pytest
 
 from polyquot import (
     ChainVerificationError,
+    ExchangeWitness,
     extends_by_linear_quotients,
+    NotComponentwiseSEPError,
     NotPolymatroidalError,
     VeroneseSpec,
     chain_absorb_maximal_ideal,
@@ -261,8 +263,11 @@ def test_sep_admissible_order_equigenerated():
 
 
 def test_sep_admissible_order_requires_property():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotComponentwiseSEPError) as info:
         sep_admissible_order(ideal(2, (3, 0), (0, 3)))
+    assert isinstance(info.value, ValueError)
+    assert info.value.degree == 3
+    assert info.value.witness == ExchangeWitness((3, 0), (0, 3), 0, (2, 1))
 
 
 def test_sep_admissible_order_random():

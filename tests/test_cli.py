@@ -9,6 +9,7 @@ import pytest
 
 from polyquot import (
     GeneratorOrder,
+    graded_component,
     is_admissible_order,
     minimalize,
     satisfies_nonpure_dual_exchange,
@@ -24,6 +25,7 @@ from polyquot.cli import (
     question1_search,
 )
 from conftest import ideal, DUAL_ONLY, SEVEN_GENS, SEVEN_ORDER, SQUARE_REGRESSION
+from oracles import naive_exchange_witness
 
 
 def write_ideal(tmp_path, name, I):
@@ -90,6 +92,7 @@ def test_order_command(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_OK
     assert report["status"] == "found" and report["verified"] is True
+    assert "disconnected" not in report
     assert report["pivot_order"] == [list(g) for g in SEVEN_ORDER]
 
 
@@ -99,6 +102,9 @@ def test_order_exhausted_exit_code(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_PREDICATE_FALSE
     assert report["status"] == "exhausted"
+    # decided by the connectivity refuter: no exchange step joins the pair
+    assert report["nodes"] == 0
+    assert report["disconnected"] == [[3, 0], [0, 3]]
 
 
 def test_verify_order_command(tmp_path, capsys):
@@ -184,6 +190,27 @@ def test_golden_reports(capsys, name, command):
     assert text == (GOLDEN / f"{name}.{command}.json").read_text()
     ok = command == "classify" or json.loads(text)["ok"]
     assert code == (EXIT_OK if ok else EXIT_PREDICATE_FALSE)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INPUTS))
+def test_sep_order_failure_replays(capsys, name):
+    # a failed sep-order report names the lowest component failing strong
+    # exchange and the oracle's first witness there
+    main(["sep-order", "--input", str(GOLDEN_INPUTS[name]), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    if report["ok"]:
+        assert "degree" not in report and "witness" not in report
+        return
+    I = minimalize(report["input"]["nvars"],
+                   [tuple(g) for g in report["input"]["gens"]])
+    j = report["degree"]
+    for lower in range(I.mindeg, j):
+        assert naive_exchange_witness(graded_component(I, lower), "strong") is None
+    w = report["witness"]
+    u, v, index, missing = naive_exchange_witness(graded_component(I, j), "strong")
+    assert (w["u"], w["v"], w["var"], w["missing"]) == (
+        list(u), list(v), index, list(missing)
+    )
 
 
 def test_product_command(tmp_path, capsys):

@@ -24,6 +24,7 @@ from polyquot import (
 from polyquot.families import iter_equigenerated_ideals, random_antichain
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
 from oracles import (
+    naive_exchange_connected,
     naive_has_admissible_order,
     naive_order_admissible,
     naive_search_extension,
@@ -132,31 +133,78 @@ def test_budget_semantics():
     assert full.nodes == again.nodes  # deterministic node counts
 
 
-def test_search_matches_pairwise_reference():
-    # the bitset kernel against the pairwise reference: same verdict, same
-    # order and same node count, with and without a fixed prefix
+def pairwise_reference_corpus():
+    """The 400 random draws of test_search_matches_pairwise_reference.
+
+    Yields (drawn antichain, case) where case is (ideal searched, budget,
+    inner ideal), or None when the ideal searched has over 12 generators.
+    """
     rng = random.Random(71)
-    seen = set()
     for _ in range(400):
-        I = random_antichain(rng, rng.randint(1, 4), 3, 7)
+        drawn = I = random_antichain(rng, rng.randint(1, 4), 3, 7)
         if rng.random() < 0.5:
             I = graded_component(I, rng.randint(I.mindeg, I.maxdeg))
         if len(I.gens) > 12:
+            yield drawn, None
             continue
         budget = rng.choice((0, 1, 7, 10**6))
         inner = minimalize(
             I.nvars, [g for g in I.gens if rng.random() < 0.3]
         )
+        yield drawn, (I, budget, inner)
+
+
+def test_search_matches_pairwise_reference():
+    # the bitset kernel against the pairwise reference: same verdict, same
+    # order and same node count, with and without a fixed prefix; an
+    # outcome the connectivity refuter decided is exhausted with 0 nodes,
+    # and the reference must not find an order
+    seen = set()
+    for _, case in pairwise_reference_corpus():
+        if case is None:
+            continue
+        I, budget, inner = case
         cands = tuple(g for g in I.gens if g not in inner.gen_set)
-        for out, ref in (
-            (find_admissible_order(I, budget),
-             naive_search_extension((), I.gens, budget)),
-            (extends_by_linear_quotients(inner, I, budget),
-             naive_search_extension(inner.gens, cands, budget)),
-        ):
+        out = find_admissible_order(I, budget)
+        ref = naive_search_extension((), I.gens, budget)
+        if out.witness is not None:
+            assert (out.status, out.order, out.nodes) == (EXHAUSTED, None, 0)
+            assert ref[0] != FOUND
+        else:
             assert (out.status, out.order, out.nodes) == ref
-            seen.add(out.status)
+        seen.add(out.status)
+        out = extends_by_linear_quotients(inner, I, budget)
+        assert (out.status, out.order, out.nodes) == naive_search_extension(
+            inner.gens, cands, budget
+        )
+        seen.add(out.status)
     assert seen == {FOUND, EXHAUSTED, BUDGET_EXCEEDED}
+
+
+def test_connectivity_refuter_matches_oracle():
+    # refuted iff the generators are not connected by exchange steps (the
+    # oracle, from lcm degrees); a refuted ideal has no admissible order
+    # by the reference search and, up to 7 generators, by the factorial
+    # oracle
+    ideals = [I for d in range(1, 4) for I in iter_equigenerated_ideals(3, d, 4)]
+    for drawn, _ in pairwise_reference_corpus():
+        ideals += [graded_component(drawn, j)
+                   for j in range(drawn.mindeg, drawn.maxdeg + 1)]
+    refuted = 0
+    for I in ideals:
+        out = find_admissible_order(I, budget=0)
+        assert (out.witness is not None) == (not naive_exchange_connected(I.gens))
+        if out.witness is None:
+            continue
+        refuted += 1
+        u, v = out.witness
+        assert u == I.gens[0] and v in I.gen_set and u != v
+        assert (out.status, out.order, out.nodes) == (EXHAUSTED, None, 0)
+        if len(I.gens) <= 12:
+            assert naive_search_extension((), I.gens, 10**6)[0] != FOUND
+        if len(I.gens) <= 7:
+            assert not naive_has_admissible_order(I, cap=7)
+    assert refuted > 100
 
 
 # node counts recorded before the search moved to bitsets
