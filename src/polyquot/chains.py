@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 from .ideal import (
     MonomialIdeal,
     Monomial,
-    graded_component,
+    graded_components,
     maximal_ideal,
     monomial_mul,
     product,
@@ -311,12 +311,12 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     n = ideal.nvars
     lo, hi = ideal.mindeg, ideal.maxdeg
     comps = {}
-    for j in range(lo, hi + 1):
-        comps[j] = graded_component(ideal, j)
+    for j, comp in graded_components(ideal, hi):
+        comps[j] = comp
         # strong exchange within one degree implies the exchange property,
         # so the strong sweep alone decides each component, as in
         # is_componentwise_sep
-        failure = _one_degree_failure(comps[j], True)
+        failure = _one_degree_failure(comp, True)
         if failure is not None:
             raise NotComponentwiseSEPError(j, ExchangeWitness(*failure))
     factors = {j: _factor(comps[j]) for j in range(lo, hi + 1)}

@@ -39,8 +39,8 @@ from typing import Optional
 
 from .ideal import MonomialIdeal, ZeroIdealError, graded_component, product
 from .exchange import (
+    _componentwise_verdicts,
     is_componentwise_polymatroidal,
-    is_componentwise_sep,
     is_polymatroidal,
     satisfies_nonpure_dual_exchange,
     satisfies_nonpure_exchange,
@@ -158,12 +158,12 @@ def _cmd_classify(args) -> int:
     if ideal.is_zero:
         raise ZeroIdealError("cannot classify the zero ideal")
     t0 = time.perf_counter()
-    cw = is_componentwise_polymatroidal(ideal)
+    cw, sep = _componentwise_verdicts(ideal)
     verdicts = {
         "nonpure_exchange": _check_json(satisfies_nonpure_exchange(ideal)),
         "nonpure_dual_exchange": _check_json(satisfies_nonpure_dual_exchange(ideal)),
         "componentwise_polymatroidal": _check_json(cw, degree=cw.degree),
-        "componentwise_sep": {"ok": is_componentwise_sep(ideal)},
+        "componentwise_sep": {"ok": sep},
     }
     if ideal.is_equigenerated:
         poly = is_polymatroidal(ideal)
@@ -412,6 +412,9 @@ def _iter_search_space(cfg: SearchConfig):
 
 
 def _load_checkpoint(cfg: SearchConfig) -> int:
+    """The index to resume from.  The output is cut back to the length it
+    had when the checkpoint was written, so a record written after the
+    last checkpoint is not written twice."""
     if not cfg.checkpoint_path or not os.path.exists(cfg.checkpoint_path):
         return 0
     with open(cfg.checkpoint_path, "r", encoding="utf-8") as fh:
@@ -420,16 +423,27 @@ def _load_checkpoint(cfg: SearchConfig) -> int:
         raise ValueError(
             "checkpoint belongs to a different search configuration"
         )
+    if "out_bytes" not in data:
+        raise ValueError("checkpoint does not record the output length")
+    size = os.path.getsize(cfg.out_path) if os.path.exists(cfg.out_path) else 0
+    if size < data["out_bytes"]:
+        raise ValueError(
+            f"output {cfg.out_path} has {size} bytes, fewer than the "
+            f"{data['out_bytes']} the checkpoint records"
+        )
+    if size > data["out_bytes"]:
+        os.truncate(cfg.out_path, data["out_bytes"])
     return int(data.get("next_index", 0))
 
 
-def _save_checkpoint(cfg: SearchConfig, next_index: int) -> None:
+def _save_checkpoint(cfg: SearchConfig, next_index: int, out) -> None:
     if not cfg.checkpoint_path:
         return
     tmp = cfg.checkpoint_path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(
-            {"schema": SCHEMA, "config": _config_digest(cfg), "next_index": next_index},
+            {"schema": SCHEMA, "config": _config_digest(cfg),
+             "next_index": next_index, "out_bytes": out.tell()},
             fh,
         )
     os.replace(tmp, cfg.checkpoint_path)
@@ -461,7 +475,7 @@ def question1_search(cfg: SearchConfig) -> SearchSummary:
             processed_here += 1
             if cfg.symmetry_reduce and not _is_orbit_representative(ideal):
                 summary.skipped_symmetry += 1
-                _save_checkpoint(cfg, index + 1)
+                _save_checkpoint(cfg, index + 1, out)
                 continue
             summary.scanned += 1
             record = None
@@ -505,7 +519,7 @@ def question1_search(cfg: SearchConfig) -> SearchSummary:
                 )
                 out.write(json.dumps(record, sort_keys=True) + "\n")
                 out.flush()
-            _save_checkpoint(cfg, index + 1)
+            _save_checkpoint(cfg, index + 1, out)
     summary.stopped_at = index + 1 if ran_off_end else start + processed_here
     summary.complete = ran_off_end
     return summary

@@ -21,7 +21,7 @@ from .ideal import (
     MonomialIdeal,
     Monomial,
     ZeroIdealError,
-    graded_component,
+    graded_components,
 )
 
 
@@ -210,8 +210,8 @@ def is_componentwise_polymatroidal(ideal: MonomialIdeal) -> ComponentCheck:
     polymatroidal ideals stay polymatroidal.
     """
     _require_nonzero(ideal)
-    for j in range(ideal.mindeg, ideal.maxdeg + 1):
-        chk = is_polymatroidal(graded_component(ideal, j))
+    for j, comp in graded_components(ideal, ideal.maxdeg):
+        chk = is_polymatroidal(comp)
         if not chk:
             return ComponentCheck(False, j, chk.witness)
     return ComponentCheck(True, None, None)
@@ -224,9 +224,28 @@ def is_componentwise_sep(ideal: MonomialIdeal) -> bool:
     # strong exchange within one degree implies the exchange property, so
     # the strong sweep alone decides each component
     return all(
-        _one_degree_failure(graded_component(ideal, j), True) is None
-        for j in range(ideal.mindeg, ideal.maxdeg + 1)
+        _one_degree_failure(comp, True) is None
+        for _, comp in graded_components(ideal, ideal.maxdeg)
     )
+
+
+def _componentwise_verdicts(ideal: MonomialIdeal):
+    """(is_componentwise_polymatroidal(ideal), is_componentwise_sep(ideal))
+    from one sweep over the graded components.
+
+    The sweep stops at the first component that is not polymatroidal,
+    where the strong-exchange verdict is already False.
+    """
+    _require_nonzero(ideal)
+    sep = True
+    for j, comp in graded_components(ideal, ideal.maxdeg):
+        if sep and _one_degree_failure(comp, True) is None:
+            continue  # strong exchange implies exchange in one degree
+        sep = False
+        chk = is_polymatroidal(comp)
+        if not chk:
+            return ComponentCheck(False, j, chk.witness), False
+    return ComponentCheck(True, None, None), sep
 
 
 def exchange_walk(

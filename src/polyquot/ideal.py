@@ -13,9 +13,8 @@ from typing import Iterable, Iterator, Sequence
 
 Monomial = tuple  # exponent vector: tuple[int, ...]
 
-#: Largest degree `graded_component` will expand to.  The expansion
-#: enumerates all monomials of the target degree over each generator,
-#: which grows like C(j + n - 1, n - 1).
+#: Largest degree `graded_component` and `graded_components` will reach.
+#: A degree-j component can hold C(j + n - 1, n - 1) generators.
 DEGREE_GUARD = 64
 
 
@@ -309,11 +308,7 @@ def graded_component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    if j > DEGREE_GUARD:
-        raise DegreeGuardError(
-            f"graded component degree {j} exceeds guard {DEGREE_GUARD}; "
-            "the expansion would enumerate too many monomials"
-        )
+    _guard_degree(j)
     n = ideal.nvars
     found = set()
     for g in ideal.gens:
@@ -323,6 +318,36 @@ def graded_component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
         for t in compositions(j - dg, n):
             found.add(monomial_mul(g, t))
     return MonomialIdeal._equigenerated(n, found)
+
+
+def graded_components(ideal: MonomialIdeal, hi: int) -> Iterator[tuple]:
+    """Yield (j, I_<j>) for j = mindeg..hi, each stepped up from the last.
+
+    I_<mindeg> holds the generators of degree mindeg, and I_<j+1> is
+    {x_r * w : w in G(I_<j>)} together with the generators of degree j+1.
+    ``DegreeGuardError`` is raised only on reaching a degree beyond
+    ``DEGREE_GUARD``.  For one high degree alone, :func:`graded_component`
+    is faster.
+    """
+    n = ideal.nvars
+    comp = None
+    for j in range(ideal.mindeg, hi + 1):
+        if comp is None:
+            comp = graded_component(ideal, j)
+        else:
+            _guard_degree(j)
+            step = {w[:r] + (w[r] + 1,) + w[r + 1:] for w in comp.gens for r in range(n)}
+            step.update(g for g in ideal.gens if sum(g) == j)
+            comp = MonomialIdeal._equigenerated(n, step)
+        yield j, comp
+
+
+def _guard_degree(j: int) -> None:
+    if j > DEGREE_GUARD:
+        raise DegreeGuardError(
+            f"graded component degree {j} exceeds guard {DEGREE_GUARD}; "
+            "the expansion would enumerate too many monomials"
+        )
 
 
 def veronese(nvars: int, d: int, caps: Sequence[int]) -> MonomialIdeal:

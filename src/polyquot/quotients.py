@@ -15,9 +15,10 @@ partial order depends only on the *set* already placed, so failed prefix
 sets are memoized and an exhausted verdict is a complete proof that no
 admissible order exists.
 
-Before the search, an equigenerated ideal is tested for exchange
-connectivity: its generators must be joined by steps w -> x_r * w / x_s
-inside G(I), or no admissible order exists (see ``_exchange_disconnected``).
+The same bitsets test an equigenerated ideal for exchange connectivity
+before the search: in one degree a colon equal to x_r is a step
+w -> x_r * w / x_s inside G(I), and generators not all joined by such
+steps have no admissible order (see ``_exchange_disconnected``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ideal import (
     MonomialIdeal,
     Monomial,
     ZeroIdealError,
-    graded_component,
+    graded_components,
     monomial_colon,
 )
 
@@ -171,27 +172,24 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _search_extension(base, cands, budget):
-    """Order `cands` over the fixed prefix `base` so every colon step passes.
+def _colon_bits(universe, nb):
+    """Per candidate universe[nb:] and variable x_r, the bitsets (W, K).
 
-    All monomials must belong to one antichain.  Returns (status, order,
-    nodes) with order a tuple over cands on success.
+    Bit l of a mask stands for universe[l].  K holds the members whose
+    colon against the candidate involves x_r, W those whose colon is
+    exactly x_r (x_r exponent one above the candidate's, no other K
+    containing them).  A member in no K divides the candidate: its colon
+    is the unit ideal.
     """
-    ncand = len(cands)
-    if ncand == 0:
-        return FOUND, (), 0
-    universe = list(base) + list(cands)
-    nb = len(base)
-    # Bit l of a mask stands for universe[l], so cands[c] is bit nb + c and
-    # the placed set is base_mask | (chosen_mask << nb).  For each variable
-    # r, at[r][e] holds the members with x_r exponent e and above[r][e] the
-    # members with x_r exponent greater than e (for every e that occurs).
+    # For each variable r, at[r][e] holds the members with x_r exponent e
+    # and above[r][e] the members with x_r exponent greater than e (for
+    # every e that occurs).
     above = []
     at = []
-    for r in range(len(universe[0])):
+    for column in zip(*universe):
         buckets: dict[int, int] = {}
-        for l, g in enumerate(universe):
-            buckets[g[r]] = buckets.get(g[r], 0) | (1 << l)
+        for l, e in enumerate(column):
+            buckets[e] = buckets.get(e, 0) | (1 << l)
         greater = {}
         acc = 0
         for e in sorted(buckets, reverse=True):
@@ -199,12 +197,8 @@ def _search_extension(base, cands, budget):
             acc |= buckets[e]
         above.append(greater)
         at.append(buckets)
-    # Per candidate c and variable r, the pair (W, K): K holds the members
-    # whose colon against cands[c] involves x_r, W those whose colon is
-    # exactly x_r (x_r exponent one above cands[c], no other K containing
-    # them).  A member in no K divides cands[c]: its colon is the unit ideal.
     colon_bits = []
-    for gc in cands:
+    for gc in universe[nb:]:
         ks = [above[r][e] for r, e in enumerate(gc)]
         once = many = 0
         for k in ks:
@@ -214,7 +208,19 @@ def _search_extension(base, cands, budget):
             (at[r].get(e + 1, 0) & ~many, k)
             for r, (e, k) in enumerate(zip(gc, ks))
         ])
+    return colon_bits
 
+
+def _search_extension(nb, cands, colon_bits, budget):
+    """Order `cands` after a fixed prefix of nb members so every colon step
+    passes; ``colon_bits`` is ``_colon_bits(prefix + cands, nb)``.
+
+    All monomials must belong to one antichain.  Returns (status, order,
+    nodes) with order a tuple over cands on success.
+    """
+    # cands[c] is bit nb + c, and the placed set is base_mask |
+    # (chosen_mask << nb)
+    ncand = len(cands)
     nodes = 0
     dead: set[int] = set()
     base_mask = (1 << nb) - 1
@@ -258,7 +264,7 @@ def _search_extension(base, cands, budget):
         return BUDGET_EXCEEDED, None, nodes
 
 
-def _exchange_disconnected(ideal: MonomialIdeal) -> Optional[tuple]:
+def _exchange_disconnected(gens, colon_bits) -> Optional[tuple]:
     """A pair of generators of an equigenerated ideal that no chain of
     exchange steps joins.
 
@@ -267,31 +273,22 @@ def _exchange_disconnected(ideal: MonomialIdeal) -> Optional[tuple]:
     with i >= 2 is generated by variables, each of them some u_l : u_i; in
     one degree u_l : u_i = x_r means u_l = x_r * u_i / x_s.  So every
     generator is one step from an earlier one, and a disconnected
-    generator set has no admissible order.  Returns (gens[0], the first
-    generator the breadth-first search from gens[0] misses), or None.
+    generator set has no admissible order.  In one degree a colon equal to
+    x_r is one step, so the steps from gens[c] are the union over r of its
+    W bitsets; a flood over them from bit 0 gives (gens[0], the first
+    generator in canonical order it misses), or None.
     """
-    gens, gen_set = ideal.gens, ideal.gen_set
-    n = ideal.nvars
-    seen = {gens[0]}
-    queue = [gens[0]]
-    for w in queue:  # grows while it is walked: breadth first
-        for s in range(n):
-            if not w[s]:
-                continue
-            down = list(w)
-            down[s] -= 1
-            for r in range(n):
-                if r == s:
-                    continue
-                down[r] += 1
-                nb = tuple(down)
-                down[r] -= 1
-                if nb in gen_set and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-    if len(seen) == len(gens):
+    reached = todo = 1
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for w, _ in colon_bits[low.bit_length() - 1]:
+            todo |= w & ~reached
+            reached |= w
+    missed = ~reached & ((1 << len(gens)) - 1)
+    if not missed:
         return None
-    return gens[0], next(g for g in gens if g not in seen)
+    return gens[0], gens[(missed & -missed).bit_length() - 1]
 
 
 def find_admissible_order(
@@ -299,21 +296,24 @@ def find_admissible_order(
 ) -> SearchOutcome:
     """Search for an admissible order of the minimal generators.
 
-    An equigenerated ideal whose generators are not connected by exchange
-    steps w -> x_r * w / x_s is refuted before any search: the outcome is
-    ``exhausted`` with 0 nodes and ``witness`` the pair (u, v) no chain of
-    steps joins.  Otherwise a backtracking search tries candidates in
-    canonical generator order, so node counts are reproducible.
-    ``exhausted`` is a proof that no admissible order exists;
-    ``budget-exceeded`` is inconclusive.
+    The colon bits of the generators are built once.  An equigenerated
+    ideal whose generators are not connected by exchange steps
+    w -> x_r * w / x_s is refuted from them before any search: the outcome
+    is ``exhausted`` with 0 nodes and ``witness`` the pair (u, v) no chain
+    of steps joins.  Otherwise a backtracking search over the same bits
+    tries candidates in canonical generator order, so node counts are
+    reproducible.  ``exhausted`` is a proof that no admissible order
+    exists; ``budget-exceeded`` is inconclusive.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no generator ordering")
+    gens = ideal.gens
+    colon_bits = _colon_bits(gens, 0)
     if ideal.is_equigenerated:
-        pair = _exchange_disconnected(ideal)
+        pair = _exchange_disconnected(gens, colon_bits)
         if pair is not None:
             return SearchOutcome(EXHAUSTED, None, 0, pair)
-    status, order, nodes = _search_extension((), ideal.gens, budget)
+    status, order, nodes = _search_extension(0, gens, colon_bits, budget)
     return SearchOutcome(status, order, nodes)
 
 
@@ -333,7 +333,9 @@ def extends_by_linear_quotients(
         raise ValueError("generators of the inner ideal must all be "
                          "minimal generators of the outer ideal")
     cands = tuple(g for g in outer.gens if g not in inner.gen_set)
-    status, order, nodes = _search_extension(inner.gens, cands, budget)
+    nb = len(inner.gens)
+    colon_bits = _colon_bits(inner.gens + cands, nb)
+    status, order, nodes = _search_extension(nb, cands, colon_bits, budget)
     return SearchOutcome(status, order, nodes)
 
 
@@ -343,10 +345,12 @@ def has_componentwise_linear_quotients(
     """Run the admissible-order search over every graded component.
 
     Components beyond the top generator degree inherit linear quotients
-    from the top component, so only mindeg..maxdeg are searched.  Each
-    component is equigenerated, so a component whose generators are not
-    connected by exchange steps is exhausted with 0 nodes by the
-    refuter of :func:`find_admissible_order`.  The verdict is False as
+    from the top component, so only mindeg..maxdeg are searched, in one
+    ``graded_components`` sweep that steps each up from the one below.
+    Each component is equigenerated, so a component whose generators are
+    not connected by exchange steps is exhausted with 0 nodes by the
+    refuter of :func:`find_admissible_order`, on the colon bits its
+    search would use.  The verdict is False as
     soon as one component is exhausted, None when a component ran out of
     budget and none was exhausted, True otherwise.
     """
@@ -354,8 +358,8 @@ def has_componentwise_linear_quotients(
         raise ZeroIdealError("predicate undefined on the zero ideal")
     outcomes: dict[int, SearchOutcome] = {}
     saw_budget = False
-    for j in range(ideal.mindeg, ideal.maxdeg + 1):
-        res = find_admissible_order(graded_component(ideal, j), budget)
+    for j, comp in graded_components(ideal, ideal.maxdeg):
+        res = find_admissible_order(comp, budget)
         outcomes[j] = res
         if res.status == EXHAUSTED:
             return ComponentwiseLQ(False, outcomes)

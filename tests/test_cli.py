@@ -1,12 +1,15 @@
 """Command-line front end: reports, exit codes, search determinism, resume."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import polyquot.cli
+import polyquot.ideal
 from polyquot import (
     GeneratorOrder,
     graded_component,
@@ -83,6 +86,31 @@ def test_classify_warns_on_non_minimal(tmp_path, capsys):
     main(["classify", "--input", str(path)])
     report = json.loads(capsys.readouterr().out)
     assert report["warnings"] == ["input-not-minimal"]
+
+
+def test_classify_degree_guard_exits_2(tmp_path, capsys):
+    path = tmp_path / "i.txt"
+    path.write_text("n=2\n70 0\n0 70\n")
+    assert main(["classify", "--input", str(path)]) == EXIT_ERROR
+    assert "graded component degree 70 exceeds guard 64; " in capsys.readouterr().err
+
+
+def test_classify_sweeps_components_once(capsys, monkeypatch):
+    # both componentwise verdicts of a classify report come from one sweep
+    # over the graded components
+    sweeps = []
+    orig = polyquot.ideal.graded_components
+
+    def counted(*args):
+        sweeps.append(args)
+        return orig(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyquot") and vars(module).get("graded_components") is orig:
+            monkeypatch.setattr(module, "graded_components", counted)
+    main(["classify", "--input", str(DATA / "golden" / "seven.txt")])
+    capsys.readouterr()
+    assert len(sweeps) == 1
 
 
 def test_order_command(tmp_path, capsys):
@@ -362,6 +390,41 @@ def test_search_random_mode_resume(tmp_path):
     )
     question1_search(rest)
     assert (tmp_path / "rpart.jsonl").read_bytes() == (tmp_path / "rfull.jsonl").read_bytes()
+
+
+def test_search_resume_after_record_without_checkpoint(tmp_path, monkeypatch):
+    # a run stopped after a record is flushed but before the checkpoint
+    # that covers it is written: the resume must not write the record twice
+    kw = dict(exhaustive=False, nvars_hi=3, seed=5, count=200, budget=20)
+    full = search_config(tmp_path, out_path=str(tmp_path / "full.jsonl"), **kw)
+    question1_search(full)
+    part = search_config(
+        tmp_path, out_path=str(tmp_path / "part.jsonl"),
+        checkpoint_path=str(tmp_path / "ck.json"), **kw,
+    )
+    save = polyquot.cli._save_checkpoint
+    saved_size = [0]
+    grown = []
+
+    def fail_on_second_record(cfg, *args):
+        size = os.path.getsize(cfg.out_path)
+        if size > saved_size[0]:
+            grown.append(size)
+            if len(grown) == 2:
+                raise RuntimeError("stopped between record and checkpoint")
+        save(cfg, *args)
+        saved_size[0] = size
+
+    monkeypatch.setattr(polyquot.cli, "_save_checkpoint", fail_on_second_record)
+    with pytest.raises(RuntimeError):
+        question1_search(part)
+    monkeypatch.undo()
+    assert os.path.getsize(part.out_path) > saved_size[0] > 0
+    assert question1_search(part).complete
+    assert (tmp_path / "part.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+    (tmp_path / "part.jsonl").write_text("")
+    with pytest.raises(ValueError, match="fewer than"):
+        question1_search(part)
 
 
 def test_search_checkpoint_rejects_other_config(tmp_path):

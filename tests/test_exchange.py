@@ -28,6 +28,7 @@ from polyquot import (
     veronese,
     zero_ideal,
 )
+from polyquot.exchange import _componentwise_verdicts
 from polyquot.families import iter_equigenerated_ideals, random_componentwise_sep
 from conftest import ideal, DUAL_ONLY, NONPURE_ONLY, SQUARE_REGRESSION
 from oracles import naive_dual_exchange, naive_exchange_witness
@@ -210,6 +211,10 @@ def test_componentwise_sep_is_strong_exchange_on_components():
                       for j in range(I.mindeg, I.maxdeg + 1))
         )
         assert is_componentwise_sep(I) == expected
+        # classify's single sweep gives both componentwise verdicts
+        assert _componentwise_verdicts(I) == (
+            is_componentwise_polymatroidal(I), expected
+        )
         held += expected
     assert 30 <= held < len(ideals)
 
