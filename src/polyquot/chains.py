@@ -311,7 +311,7 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     n = ideal.nvars
     lo, hi = ideal.mindeg, ideal.maxdeg
     comps = {}
-    for j, comp in graded_components(ideal, hi):
+    for j, comp in graded_components(ideal):
         comps[j] = comp
         # strong exchange within one degree implies the exchange property,
         # so the strong sweep alone decides each component, as in

@@ -424,7 +424,10 @@ def _load_checkpoint(cfg: SearchConfig) -> int:
             "checkpoint belongs to a different search configuration"
         )
     if "out_bytes" not in data:
-        raise ValueError("checkpoint does not record the output length")
+        raise ValueError(
+            "checkpoint was written by an older version that does not record "
+            "the output length; start the run over with a fresh output file"
+        )
     size = os.path.getsize(cfg.out_path) if os.path.exists(cfg.out_path) else 0
     if size < data["out_bytes"]:
         raise ValueError(

@@ -209,43 +209,38 @@ def is_componentwise_polymatroidal(ideal: MonomialIdeal) -> ComponentCheck:
     maximal ideal with the previous component, and products of
     polymatroidal ideals stay polymatroidal.
     """
-    _require_nonzero(ideal)
-    for j, comp in graded_components(ideal, ideal.maxdeg):
-        chk = is_polymatroidal(comp)
-        if not chk:
-            return ComponentCheck(False, j, chk.witness)
-    return ComponentCheck(True, None, None)
+    return _componentwise_verdicts(ideal, sep=False)[0]
 
 
 def is_componentwise_sep(ideal: MonomialIdeal) -> bool:
     """Every graded component is polymatroidal with the strong exchange
     property."""
-    _require_nonzero(ideal)
-    # strong exchange within one degree implies the exchange property, so
-    # the strong sweep alone decides each component
-    return all(
-        _one_degree_failure(comp, True) is None
-        for _, comp in graded_components(ideal, ideal.maxdeg)
-    )
+    return _componentwise_verdicts(ideal, poly=False)[1]
 
 
-def _componentwise_verdicts(ideal: MonomialIdeal):
+def _componentwise_verdicts(ideal: MonomialIdeal, poly=True, sep=True):
     """(is_componentwise_polymatroidal(ideal), is_componentwise_sep(ideal))
-    from one sweep over the graded components.
+    from one sweep over the graded components; a verdict not asked for is
+    None.
 
-    The sweep stops at the first component that is not polymatroidal,
-    where the strong-exchange verdict is already False.
+    Strong exchange within one degree implies the exchange property, so
+    while it holds the strong sweep decides each component; after its
+    first failure only the exchange sweep runs.  The sweep stops as soon
+    as the verdicts asked for are known.
     """
     _require_nonzero(ideal)
-    sep = True
-    for j, comp in graded_components(ideal, ideal.maxdeg):
-        if sep and _one_degree_failure(comp, True) is None:
-            continue  # strong exchange implies exchange in one degree
-        sep = False
+    strong = sep
+    for j, comp in graded_components(ideal):
+        if strong:
+            if _one_degree_failure(comp, True) is None:
+                continue
+            strong = False
+            if not poly:
+                break
         chk = is_polymatroidal(comp)
         if not chk:
-            return ComponentCheck(False, j, chk.witness), False
-    return ComponentCheck(True, None, None), sep
+            return ComponentCheck(False, j, chk.witness), (False if sep else None)
+    return (ComponentCheck(True, None, None) if poly else None), (strong if sep else None)
 
 
 def exchange_walk(

@@ -320,25 +320,25 @@ def graded_component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     return MonomialIdeal._equigenerated(n, found)
 
 
-def graded_components(ideal: MonomialIdeal, hi: int) -> Iterator[tuple]:
-    """Yield (j, I_<j>) for j = mindeg..hi, each stepped up from the last.
+def graded_components(ideal: MonomialIdeal) -> Iterator[tuple]:
+    """Yield (j, I_<j>) for j = mindeg..maxdeg, each stepped up from the last.
 
     I_<mindeg> holds the generators of degree mindeg, and I_<j+1> is
     {x_r * w : w in G(I_<j>)} together with the generators of degree j+1.
-    ``DegreeGuardError`` is raised only on reaching a degree beyond
-    ``DEGREE_GUARD``.  For one high degree alone, :func:`graded_component`
-    is faster.
+    Components beyond maxdeg are products with the maximal ideal, so the
+    componentwise predicates need none of them.  ``DegreeGuardError`` is
+    raised only on reaching a degree beyond ``DEGREE_GUARD``.  For one
+    high degree alone, :func:`graded_component` is faster.
     """
     n = ideal.nvars
-    comp = None
-    for j in range(ideal.mindeg, hi + 1):
-        if comp is None:
-            comp = graded_component(ideal, j)
-        else:
-            _guard_degree(j)
-            step = {w[:r] + (w[r] + 1,) + w[r + 1:] for w in comp.gens for r in range(n)}
-            step.update(g for g in ideal.gens if sum(g) == j)
-            comp = MonomialIdeal._equigenerated(n, step)
+    j = ideal.mindeg
+    comp = graded_component(ideal, j)
+    yield j, comp
+    for j in range(j + 1, ideal.maxdeg + 1):
+        _guard_degree(j)
+        step = {w[:r] + (w[r] + 1,) + w[r + 1:] for w in comp.gens for r in range(n)}
+        step.update(g for g in ideal.gens if sum(g) == j)
+        comp = MonomialIdeal._equigenerated(n, step)
         yield j, comp
 
 

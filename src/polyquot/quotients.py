@@ -350,15 +350,15 @@ def has_componentwise_linear_quotients(
     Each component is equigenerated, so a component whose generators are
     not connected by exchange steps is exhausted with 0 nodes by the
     refuter of :func:`find_admissible_order`, on the colon bits its
-    search would use.  The verdict is False as
-    soon as one component is exhausted, None when a component ran out of
-    budget and none was exhausted, True otherwise.
+    search would use.  The verdict is False as soon as one component is
+    exhausted, None when a component ran out of budget and none was
+    exhausted, True otherwise.
     """
     if ideal.is_zero:
         raise ZeroIdealError("predicate undefined on the zero ideal")
     outcomes: dict[int, SearchOutcome] = {}
     saw_budget = False
-    for j, comp in graded_components(ideal, ideal.maxdeg):
+    for j, comp in graded_components(ideal):
         res = find_admissible_order(comp, budget)
         outcomes[j] = res
         if res.status == EXHAUSTED:

@@ -425,6 +425,12 @@ def test_search_resume_after_record_without_checkpoint(tmp_path, monkeypatch):
     (tmp_path / "part.jsonl").write_text("")
     with pytest.raises(ValueError, match="fewer than"):
         question1_search(part)
+    # a checkpoint of the earlier format, without the output length
+    ck = json.loads((tmp_path / "ck.json").read_text())
+    del ck["out_bytes"]
+    (tmp_path / "ck.json").write_text(json.dumps(ck))
+    with pytest.raises(ValueError, match="older version .* fresh output file"):
+        question1_search(part)
 
 
 def test_search_checkpoint_rejects_other_config(tmp_path):
