@@ -43,10 +43,6 @@ def monomial_mul(u: Monomial, v: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def monomial_gcd(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
 def monomial_colon(g: Monomial, u: Monomial) -> Monomial:
     """g / gcd(g, u), i.e. componentwise truncated subtraction."""
     return tuple(a - b if a > b else 0 for a, b in zip(g, u))

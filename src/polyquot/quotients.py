@@ -19,6 +19,13 @@ The same bitsets test an equigenerated ideal for exchange connectivity
 before the search: in one degree a colon equal to x_r is a step
 w -> x_r * w / x_s inside G(I), and generators not all joined by such
 steps have no admissible order (see ``_exchange_disconnected``).
+
+The componentwise sweep searches a component only when it has something
+new: a degree with no generator of its own is m * I_<j-1>, and it has
+linear quotients whenever I_<j-1> does (Sharifan-Varbaro, *Graded Betti
+numbers of ideals with linear quotients*, 2008; cf. Jahan-Zheng, JCTA
+117, 2010), with an order read off the one below (see
+``_times_maximal_order``).
 """
 
 from __future__ import annotations
@@ -224,6 +231,7 @@ def _search_extension(nb, cands, colon_bits, budget):
     nodes = 0
     dead: set[int] = set()
     base_mask = (1 << nb) - 1
+    full = (1 << ncand) - 1
     chosen: list[int] = []
 
     def dfs(chosen_mask: int) -> bool:
@@ -233,10 +241,12 @@ def _search_extension(nb, cands, colon_bits, budget):
         if chosen_mask in dead:
             return False
         placed = base_mask | (chosen_mask << nb)
-        for c in range(ncand):
-            bit = 1 << c
-            if chosen_mask & bit:
-                continue
+        # the unplaced candidates, lowest bit (canonical order) first
+        free = full & ~chosen_mask
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
@@ -339,17 +349,39 @@ def extends_by_linear_quotients(
     return SearchOutcome(status, order, nodes)
 
 
+def _times_maximal_order(order: tuple, nvars: int) -> tuple:
+    """An admissible order of m * (u_1, ..., u_k) from an admissible order
+    u_1, ..., u_k of an equigenerated ideal: for i = 1..k, the products
+    x_r * u_i (r = 0..n-1) not listed earlier.  The proof that it is
+    admissible is in :func:`has_componentwise_linear_quotients`.
+    """
+    return tuple(dict.fromkeys(
+        u[:r] + (u[r] + 1,) + u[r + 1:] for u in order for r in range(nvars)
+    ))
+
+
 def has_componentwise_linear_quotients(
     ideal: MonomialIdeal, budget: int = DEFAULT_BUDGET
 ) -> ComponentwiseLQ:
     """Run the admissible-order search over every graded component.
 
     Components beyond the top generator degree inherit linear quotients
-    from the top component, so only mindeg..maxdeg are searched, in one
+    from the top component, so only mindeg..maxdeg are visited, in one
     ``graded_components`` sweep that steps each up from the one below.
-    Each component is equigenerated, so a component whose generators are
-    not connected by exchange steps is exhausted with 0 nodes by the
-    refuter of :func:`find_admissible_order`, on the colon bits its
+
+    A pure step is not searched: if I has no generator of degree j > mindeg,
+    then I_<j> = m * I_<j-1>, and if I_<j-1> came back found, so does
+    I_<j> (Sharifan-Varbaro 2008; cf. Jahan-Zheng, JCTA 117, 2010), with
+    0 nodes and the order :func:`_times_maximal_order` builds from the
+    order below.  For w = x_r * u_i, an earlier x_s * u_l with l < i meets
+    some x_t != x_r dividing u_l : u_i with u_l' : u_i = x_t, l' < i.  So
+    x_t * u_i = x_q * u_l' is listed before w, and its colon is x_t; an
+    earlier x_s * u_i has colon x_s.  A pure step draws nothing on the
+    budget, so its verdict can only be firmer than a search's.
+
+    Every other component goes to :func:`find_admissible_order`.  Each is
+    equigenerated, so one whose generators are not connected by exchange
+    steps is exhausted with 0 nodes by its refuter, on the colon bits its
     search would use.  The verdict is False as soon as one component is
     exhausted, None when a component ran out of budget and none was
     exhausted, True otherwise.
@@ -358,8 +390,14 @@ def has_componentwise_linear_quotients(
         raise ZeroIdealError("predicate undefined on the zero ideal")
     outcomes: dict[int, SearchOutcome] = {}
     saw_budget = False
+    gen_degrees = {sum(g) for g in ideal.gens}
+    res = None
     for j, comp in graded_components(ideal):
-        res = find_admissible_order(comp, budget)
+        if res is not None and res.status == FOUND and j not in gen_degrees:
+            order = _times_maximal_order(res.order, ideal.nvars)
+            res = SearchOutcome(FOUND, order, 0)
+        else:
+            res = find_admissible_order(comp, budget)
         outcomes[j] = res
         if res.status == EXHAUSTED:
             return ComponentwiseLQ(False, outcomes)

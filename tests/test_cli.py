@@ -21,6 +21,7 @@ from polyquot import (
 )
 from polyquot.cli import (
     EXIT_ERROR,
+    EXIT_INCONCLUSIVE,
     EXIT_OK,
     EXIT_PREDICATE_FALSE,
     SearchConfig,
@@ -370,32 +371,50 @@ def test_search_checkpoint_resume_identical(tmp_path):
     assert (tmp_path / "part.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
 
+# writes 3 records, at indices 124, 132 and 148
+RANDOM_SEARCH = dict(exhaustive=False, nvars_hi=3, seed=5, count=200, budget=20)
+
+
 def test_search_random_mode_resume(tmp_path):
     full = search_config(
-        tmp_path, exhaustive=False, seed=5, count=80, budget=40,
-        out_path=str(tmp_path / "rfull.jsonl"),
+        tmp_path, out_path=str(tmp_path / "rfull.jsonl"), **RANDOM_SEARCH
     )
     question1_search(full)
     part = search_config(
-        tmp_path, exhaustive=False, seed=5, count=80, budget=40,
-        out_path=str(tmp_path / "rpart.jsonl"),
-        checkpoint_path=str(tmp_path / "rck.json"),
-        limit=30,
+        tmp_path, out_path=str(tmp_path / "rpart.jsonl"),
+        checkpoint_path=str(tmp_path / "rck.json"), limit=130, **RANDOM_SEARCH
     )
     question1_search(part)
+    # the records straddle the stop, so the resume has records to reproduce
+    # on both sides of it
+    before = (tmp_path / "rpart.jsonl").read_bytes().count(b"\n")
     rest = search_config(
-        tmp_path, exhaustive=False, seed=5, count=80, budget=40,
-        out_path=str(tmp_path / "rpart.jsonl"),
-        checkpoint_path=str(tmp_path / "rck.json"),
+        tmp_path, out_path=str(tmp_path / "rpart.jsonl"),
+        checkpoint_path=str(tmp_path / "rck.json"), **RANDOM_SEARCH
     )
     question1_search(rest)
+    after = (tmp_path / "rpart.jsonl").read_bytes().count(b"\n")
+    assert 0 < before < after
     assert (tmp_path / "rpart.jsonl").read_bytes() == (tmp_path / "rfull.jsonl").read_bytes()
+
+
+def test_golden_search_jsonl(tmp_path, capsys):
+    # `polyquot search` on RANDOM_SEARCH must reproduce
+    # tests/data/golden/search.jsonl byte for byte
+    out = tmp_path / "search.jsonl"
+    code = main([
+        "search", "--nvars", "2-3", "--max-exp", "3", "--max-gens", "3",
+        "--seed", "5", "--count", "200", "--budget", "20", "--out", str(out),
+    ])
+    assert code == EXIT_INCONCLUSIVE
+    assert json.loads(capsys.readouterr().out)["summary"]["cw_unknown"] == 3
+    assert out.read_bytes() == (GOLDEN / "search.jsonl").read_bytes()
 
 
 def test_search_resume_after_record_without_checkpoint(tmp_path, monkeypatch):
     # a run stopped after a record is flushed but before the checkpoint
     # that covers it is written: the resume must not write the record twice
-    kw = dict(exhaustive=False, nvars_hi=3, seed=5, count=200, budget=20)
+    kw = RANDOM_SEARCH
     full = search_config(tmp_path, out_path=str(tmp_path / "full.jsonl"), **kw)
     question1_search(full)
     part = search_config(

@@ -24,6 +24,7 @@ from polyquot import (
 from polyquot.families import iter_equigenerated_ideals, random_antichain
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
 from oracles import (
+    naive_degree_slice,
     naive_exchange_connected,
     naive_has_admissible_order,
     naive_order_admissible,
@@ -353,3 +354,46 @@ def test_found_implies_componentwise_small_box():
             hits += 1
             assert has_componentwise_linear_quotients(I).value is True
     assert hits > 100
+
+
+def componentwise_reference(I, budget):
+    """The componentwise verdict from a search of every component."""
+    saw_budget = False
+    for j in range(I.mindeg, I.maxdeg + 1):
+        status = find_admissible_order(graded_component(I, j), budget).status
+        if status == EXHAUSTED:
+            return False
+        saw_budget |= status == BUDGET_EXCEEDED
+    return None if saw_budget else True
+
+
+def test_pure_steps_absorbed_exactly():
+    # a degree with no generator of its own, above a found component, is
+    # decided without a search; its order must pass the naive colon test,
+    # every other degree must be the search's own outcome, and the verdict
+    # must agree with a search of every component wherever that is decided
+    from polyquot.families import iter_bivariate_antichains
+
+    rng = random.Random(29)
+    corpus = [(I, 10**4) for I in iter_bivariate_antichains(4, 5)]
+    for _ in range(400):
+        I = random_antichain(rng, rng.randint(2, 4), 3, 5)
+        corpus.append((I, rng.choice((7, 50, 10**4))))
+    absorbed = searched = 0
+    for I, budget in corpus:
+        cw = has_componentwise_linear_quotients(I, budget)
+        degrees = {sum(g) for g in I.gens}
+        for j, out in cw.outcomes.items():
+            below = cw.outcomes.get(j - 1)
+            if j not in degrees and below is not None and below.status == FOUND:
+                absorbed += 1
+                assert (out.status, out.nodes, out.witness) == (FOUND, 0, None)
+                assert len(set(out.order)) == len(out.order)
+                assert set(out.order) == naive_degree_slice(I, j)
+                assert naive_order_admissible(out.order)
+            else:
+                searched += 1
+                assert out == find_admissible_order(graded_component(I, j), budget)
+        ref = componentwise_reference(I, budget)
+        assert cw.value is ref or (ref is None and cw.value is True)
+    assert absorbed > 150 and searched > 500
