@@ -304,7 +304,7 @@ def graded_component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     """
     if j < 0:
         raise ValueError("degree must be nonnegative")
-    _guard_degree(j)
+    guard_degree(j)
     n = ideal.nvars
     found = set()
     for g in ideal.gens:
@@ -331,14 +331,15 @@ def graded_components(ideal: MonomialIdeal) -> Iterator[tuple]:
     comp = graded_component(ideal, j)
     yield j, comp
     for j in range(j + 1, ideal.maxdeg + 1):
-        _guard_degree(j)
+        guard_degree(j)
         step = {w[:r] + (w[r] + 1,) + w[r + 1:] for w in comp.gens for r in range(n)}
         step.update(g for g in ideal.gens if sum(g) == j)
         comp = MonomialIdeal._equigenerated(n, step)
         yield j, comp
 
 
-def _guard_degree(j: int) -> None:
+def guard_degree(j: int) -> None:
+    """Refuse a component degree beyond ``DEGREE_GUARD``."""
     if j > DEGREE_GUARD:
         raise DegreeGuardError(
             f"graded component degree {j} exceeds guard {DEGREE_GUARD}; "

@@ -20,12 +20,18 @@ before the search: in one degree a colon equal to x_r is a step
 w -> x_r * w / x_s inside G(I), and generators not all joined by such
 steps have no admissible order (see ``_exchange_disconnected``).
 
-The componentwise sweep searches a component only when it has something
-new: a degree with no generator of its own is m * I_<j-1>, and it has
-linear quotients whenever I_<j-1> does (Sharifan-Varbaro, *Graded Betti
-numbers of ideals with linear quotients*, 2008; cf. Jahan-Zheng, JCTA
-117, 2010), with an order read off the one below (see
-``_times_maximal_order``).
+The componentwise sweep carries orders, not components.  Above a found
+component, I_<j> = m * I_<j-1> + (N) with N the generators of degree j,
+and m * I_<j-1> has an admissible order read off the one below
+(Sharifan-Varbaro, *Graded Betti numbers of ideals with linear
+quotients*, 2008; cf. Jahan-Zheng, JCTA 117, 2010; see
+``_times_maximal_order``).  So I_<j> is decided from N alone, in four
+steps: (1) that order is the base, and colon bits are built for N only;
+(2) the base is exchange-connected, since it has an admissible order, so
+I_<j> is refuted when some member of N is not joined to it by exchange
+steps; (3) N is searched as an extension of the base; (4) only when the
+extension fails is the whole component searched, since a failed
+extension is not a proof (see ``has_componentwise_linear_quotients``).
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from .ideal import (
     MonomialIdeal,
     Monomial,
     ZeroIdealError,
-    graded_components,
+    graded_component,
+    guard_degree,
     monomial_colon,
 )
 
@@ -274,31 +281,47 @@ def _search_extension(nb, cands, colon_bits, budget):
         return BUDGET_EXCEEDED, None, nodes
 
 
-def _exchange_disconnected(gens, colon_bits) -> Optional[tuple]:
-    """A pair of generators of an equigenerated ideal that no chain of
-    exchange steps joins.
+def _exchange_disconnected(universe, colon_bits, reached) -> Optional[tuple]:
+    """A pair of members of an equigenerated universe that no chain of
+    exchange steps joins, or None.
 
     An exchange step replaces w by x_r * w / x_s within the generator set.
     In an admissible order u_1, ..., u_m each colon (u_1, ..., u_{i-1}) : u_i
     with i >= 2 is generated by variables, each of them some u_l : u_i; in
     one degree u_l : u_i = x_r means u_l = x_r * u_i / x_s.  So every
     generator is one step from an earlier one, and a disconnected
-    generator set has no admissible order.  In one degree a colon equal to
-    x_r is one step, so the steps from gens[c] are the union over r of its
-    W bitsets; a flood over them from bit 0 gives (gens[0], the first
-    generator in canonical order it misses), or None.
+    generator set has no admissible order.
+
+    ``colon_bits`` is ``_colon_bits(universe, nb)``, and the mask
+    ``reached`` holds bit 0, every member below nb and nothing but members
+    already joined to universe[0].  In one degree a colon equal to x_r is
+    one step, and steps are symmetric, so the steps from a candidate are
+    the union over r of its W bitsets.  The flood starts at the candidates
+    one step from ``reached`` and gives (universe[0], the first member it
+    misses).
     """
-    reached = todo = 1
+    nb = len(universe) - len(colon_bits)
+    steps = []
+    todo = 0
+    for c, row in enumerate(colon_bits):
+        s = 0
+        for w, _ in row:
+            s |= w
+        steps.append(s)
+        if s & reached:
+            todo |= 1 << (nb + c)
+    todo &= ~reached
+    reached |= todo
     while todo:
         low = todo & -todo
         todo ^= low
-        for w, _ in colon_bits[low.bit_length() - 1]:
-            todo |= w & ~reached
-            reached |= w
-    missed = ~reached & ((1 << len(gens)) - 1)
+        s = steps[low.bit_length() - 1 - nb] & ~reached
+        todo |= s
+        reached |= s
+    missed = ~reached & ((1 << len(universe)) - 1)
     if not missed:
         return None
-    return gens[0], gens[(missed & -missed).bit_length() - 1]
+    return universe[0], universe[(missed & -missed).bit_length() - 1]
 
 
 def find_admissible_order(
@@ -320,7 +343,7 @@ def find_admissible_order(
     gens = ideal.gens
     colon_bits = _colon_bits(gens, 0)
     if ideal.is_equigenerated:
-        pair = _exchange_disconnected(gens, colon_bits)
+        pair = _exchange_disconnected(gens, colon_bits, 1)
         if pair is not None:
             return SearchOutcome(EXHAUSTED, None, 0, pair)
     status, order, nodes = _search_extension(0, gens, colon_bits, budget)
@@ -350,54 +373,123 @@ def extends_by_linear_quotients(
 
 
 def _times_maximal_order(order: tuple, nvars: int) -> tuple:
-    """An admissible order of m * (u_1, ..., u_k) from an admissible order
-    u_1, ..., u_k of an equigenerated ideal: for i = 1..k, the products
-    x_r * u_i (r = 0..n-1) not listed earlier.  The proof that it is
-    admissible is in :func:`has_componentwise_linear_quotients`.
+    """The generators of m * (u_1, ..., u_k) for an equigenerated
+    u_1, ..., u_k: for i = 1..k, the products x_r * u_i (r = 0..n-1) not
+    listed earlier.  When u_1, ..., u_k is an admissible order, so is this;
+    the proof is in :func:`has_componentwise_linear_quotients`.
     """
     return tuple(dict.fromkeys(
         u[:r] + (u[r] + 1,) + u[r + 1:] for u in order for r in range(nvars)
     ))
 
 
+def _decide_stepped(base: tuple, new: tuple, nvars: int, budget: int):
+    """(outcome, component) for I_<j> = m * I_<j-1> + (new), where ``base``
+    is an admissible order of m * I_<j-1> and ``new`` the generators of I
+    of degree j; the component is built only when it is searched whole.
+    The four steps and their proofs are in
+    :func:`has_componentwise_linear_quotients`.
+    """
+    if not new:
+        return SearchOutcome(FOUND, base, 0), None
+    nb = len(base)
+    universe = base + new
+    colon_bits = _colon_bits(universe, nb)
+    pair = _exchange_disconnected(universe, colon_bits, (1 << nb) - 1)
+    if pair is not None:
+        return SearchOutcome(EXHAUSTED, None, 0, pair), None
+    status, order, nodes = _search_extension(nb, new, colon_bits, budget)
+    if status == FOUND:
+        return SearchOutcome(FOUND, base + order, nodes), None
+    comp = MonomialIdeal._equigenerated(nvars, universe)
+    whole = find_admissible_order(comp, budget)
+    return SearchOutcome(
+        whole.status, whole.order, nodes + whole.nodes, whole.witness
+    ), comp
+
+
 def has_componentwise_linear_quotients(
     ideal: MonomialIdeal, budget: int = DEFAULT_BUDGET
 ) -> ComponentwiseLQ:
-    """Run the admissible-order search over every graded component.
+    """Decide linear quotients of every graded component.
 
     Components beyond the top generator degree inherit linear quotients
-    from the top component, so only mindeg..maxdeg are visited, in one
-    ``graded_components`` sweep that steps each up from the one below.
+    from the top component, so only mindeg..maxdeg are visited.  The
+    lowest component is built with :func:`graded_component` and searched
+    by :func:`find_admissible_order`.  Each later I_<j> is stepped up from
+    the one below, I_<j> = m * I_<j-1> + (N) with N the generators of I of
+    degree j.
 
-    A pure step is not searched: if I has no generator of degree j > mindeg,
-    then I_<j> = m * I_<j-1>, and if I_<j-1> came back found, so does
-    I_<j> (Sharifan-Varbaro 2008; cf. Jahan-Zheng, JCTA 117, 2010), with
-    0 nodes and the order :func:`_times_maximal_order` builds from the
-    order below.  For w = x_r * u_i, an earlier x_s * u_l with l < i meets
-    some x_t != x_r dividing u_l : u_i with u_l' : u_i = x_t, l' < i.  So
-    x_t * u_i = x_q * u_l' is listed before w, and its colon is x_t; an
-    earlier x_s * u_i has colon x_s.  A pure step draws nothing on the
-    budget, so its verdict can only be firmer than a search's.
+    Above a found component, I_<j> is decided from N alone (see
+    :func:`_decide_stepped`):
 
-    Every other component goes to :func:`find_admissible_order`.  Each is
-    equigenerated, so one whose generators are not connected by exchange
-    steps is exhausted with 0 nodes by its refuter, on the colon bits its
-    search would use.  The verdict is False as soon as one component is
-    exhausted, None when a component ran out of budget and none was
-    exhausted, True otherwise.
+    1. Base.  :func:`_times_maximal_order` of the order below is an
+       admissible order of m * I_<j-1> (Sharifan-Varbaro 2008; cf.
+       Jahan-Zheng, JCTA 117, 2010).  For w = x_r * u_i, an earlier
+       x_s * u_l with l < i meets some x_t != x_r dividing u_l : u_i with
+       u_l' : u_i = x_t, l' < i.  So x_t * u_i = x_q * u_l' is listed
+       before w, and its colon is x_t; an earlier x_s * u_i has colon x_s.
+       N is disjoint from the base, its members being minimal generators,
+       so colon bits are built for N only.  With N empty (a pure step)
+       the base is the outcome, with 0 nodes.
+    2. Refuter.  The base has an admissible order, so it is joined by
+       exchange steps (see :func:`_exchange_disconnected`); I_<j> is then
+       joined iff every member of N reaches the base through the W bits
+       of N.  If one does not, I_<j> has no admissible order: exhausted,
+       0 nodes, witness (base[0], that member).
+    3. Extension.  N is searched after the base; an order found is the
+       base followed by it.
+    4. Otherwise the whole component goes to :func:`find_admissible_order`
+       with its own full budget, and the outcome takes that search's
+       status, order and witness, with the nodes of both searches.  This
+       path stays because a failed extension is not a proof: a step of N
+       against the base is the same test as against G(I)_<j (below), so a
+       proof that the extension always exists would settle whether
+       componentwise linear quotients imply linear quotients.
+
+    Above a component that is not found, I_<j> is built and searched by
+    :func:`find_admissible_order`.  The verdict is False as soon as one
+    component is exhausted, None when a component ran out of budget and
+    none was exhausted, True otherwise.  A component decided by steps 1-3
+    has an admissible order, so against a search of every component a
+    verdict can only move from None to True.
+
+    The layered order.  For v of degree j, not in (G(I)_<j), and T a set
+    of degree-j monomials, (G(I)_<j + T) : v = (m * I_<j-1> + T) : v.  The
+    generators of m * I_<j-1> are the degree-j monomials of (G(I)_<j),
+    which gives one inclusion.  For g in G(I)_<j write g = c * a and
+    v = c * b with c = gcd(g, v); deg a < deg b, so some b' dividing b
+    has deg b' = deg b - deg a, and h = g * b' is a generator of
+    m * I_<j-1> (degree j, a multiple of g) with h : v = a = g : v, as
+    gcd(a, b) = 1.  A colon depends only on the set placed, so when
+    every degree with new generators was decided by an extension, the
+    order of the lowest component followed by the extension part of each
+    degree's order, degree by degree, is an admissible order of I itself.
     """
     if ideal.is_zero:
         raise ZeroIdealError("predicate undefined on the zero ideal")
+    n = ideal.nvars
+    new_gens: dict[int, list] = {}
+    for g in ideal.gens:
+        new_gens.setdefault(sum(g), []).append(g)
     outcomes: dict[int, SearchOutcome] = {}
     saw_budget = False
-    gen_degrees = {sum(g) for g in ideal.gens}
-    res = None
-    for j, comp in graded_components(ideal):
-        if res is not None and res.status == FOUND and j not in gen_degrees:
-            order = _times_maximal_order(res.order, ideal.nvars)
-            res = SearchOutcome(FOUND, order, 0)
-        else:
+    res = comp = None
+    for j in range(ideal.mindeg, ideal.maxdeg + 1):
+        if res is None:
+            comp = graded_component(ideal, j)
             res = find_admissible_order(comp, budget)
+        else:
+            guard_degree(j)
+            new = tuple(new_gens.get(j, ()))
+            if res.status == FOUND:
+                base = _times_maximal_order(res.order, n)
+                res, comp = _decide_stepped(base, new, n, budget)
+            else:
+                comp = MonomialIdeal._equigenerated(
+                    n, _times_maximal_order(comp.gens, n) + new
+                )
+                res = find_admissible_order(comp, budget)
         outcomes[j] = res
         if res.status == EXHAUSTED:
             return ComponentwiseLQ(False, outcomes)

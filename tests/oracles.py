@@ -168,28 +168,36 @@ def naive_exchange_witness(ideal, mode):
     return None
 
 
+def naive_exchange_part(gens, u):
+    """The generators joined to u by chains of exchange steps, u included.
+
+    From the definition: u and v of degree d are one step apart when
+    deg lcm(u, v) = d + 1.
+    """
+    gens = [tuple(g) for g in gens]
+    d = sum(u)
+
+    def adjacent(v, w):
+        return sum(max(a, b) for a, b in zip(v, w)) == d + 1
+
+    reached = {tuple(u)}
+    stack = [tuple(u)]
+    while stack:
+        v = stack.pop()
+        for w in gens:
+            if w not in reached and adjacent(v, w):
+                reached.add(w)
+                stack.append(w)
+    return reached
+
+
 def naive_exchange_connected(gens):
     """Are equigenerated generators joined by chains of exchange steps?
 
-    From the definition: u and v of degree d are one step apart when
-    deg lcm(u, v) = d + 1; the generators are connected when every one is
-    reached from the first along such edges.
+    They are when every one is reached from the first.
     """
     gens = [tuple(g) for g in gens]
-    d = sum(gens[0])
-
-    def adjacent(u, v):
-        return sum(max(a, b) for a, b in zip(u, v)) == d + 1
-
-    reached = {0}
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for l in range(len(gens)):
-            if l not in reached and adjacent(gens[k], gens[l]):
-                reached.add(l)
-                stack.append(l)
-    return len(reached) == len(gens)
+    return naive_exchange_part(gens, gens[0]) >= set(gens)
 
 
 def ideal_of(nvars, gens):

@@ -371,8 +371,8 @@ def test_search_checkpoint_resume_identical(tmp_path):
     assert (tmp_path / "part.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
 
-# writes 3 records, at indices 124, 132 and 148
-RANDOM_SEARCH = dict(exhaustive=False, nvars_hi=3, seed=5, count=200, budget=20)
+# writes 6 records, at indices 16, 34, 124, 148, 166 and 180
+RANDOM_SEARCH = dict(exhaustive=False, nvars_hi=3, seed=5, count=200, budget=5)
 
 
 def test_search_random_mode_resume(tmp_path):
@@ -404,10 +404,10 @@ def test_golden_search_jsonl(tmp_path, capsys):
     out = tmp_path / "search.jsonl"
     code = main([
         "search", "--nvars", "2-3", "--max-exp", "3", "--max-gens", "3",
-        "--seed", "5", "--count", "200", "--budget", "20", "--out", str(out),
+        "--seed", "5", "--count", "200", "--budget", "5", "--out", str(out),
     ])
     assert code == EXIT_INCONCLUSIVE
-    assert json.loads(capsys.readouterr().out)["summary"]["cw_unknown"] == 3
+    assert json.loads(capsys.readouterr().out)["summary"]["cw_unknown"] == 1
     assert out.read_bytes() == (GOLDEN / "search.jsonl").read_bytes()
 
 

@@ -22,10 +22,12 @@ from polyquot import (
     zero_ideal,
 )
 from polyquot.families import iter_equigenerated_ideals, random_antichain
+from polyquot.quotients import _times_maximal_order
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
 from oracles import (
     naive_degree_slice,
     naive_exchange_connected,
+    naive_exchange_part,
     naive_has_admissible_order,
     naive_order_admissible,
     naive_search_extension,
@@ -367,11 +369,9 @@ def componentwise_reference(I, budget):
     return None if saw_budget else True
 
 
-def test_pure_steps_absorbed_exactly():
-    # a degree with no generator of its own, above a found component, is
-    # decided without a search; its order must pass the naive colon test,
-    # every other degree must be the search's own outcome, and the verdict
-    # must agree with a search of every component wherever that is decided
+def componentwise_corpus():
+    """(ideal, budget) pairs: the bivariate box and random 2-4-variable
+    draws at budgets small enough to run out."""
     from polyquot.families import iter_bivariate_antichains
 
     rng = random.Random(29)
@@ -379,8 +379,20 @@ def test_pure_steps_absorbed_exactly():
     for _ in range(400):
         I = random_antichain(rng, rng.randint(2, 4), 3, 5)
         corpus.append((I, rng.choice((7, 50, 10**4))))
-    absorbed = searched = 0
-    for I, budget in corpus:
+    return corpus
+
+
+def test_pure_steps_absorbed_exactly():
+    # a degree with no generator of its own, above a found component, is
+    # decided without a search; its order must pass the naive colon test.
+    # Every other degree is checked against the oracles: a found order is
+    # an admissible permutation of the degree slice, a 0-node refutation
+    # names a pair in different exchange parts of the slice, and anything
+    # else is the whole-component search's outcome, with the nodes of a
+    # failed extension on top.  The verdict must agree with a search of
+    # every component wherever that is decided
+    absorbed = searched = refuted = whole_searched = 0
+    for I, budget in componentwise_corpus():
         cw = has_componentwise_linear_quotients(I, budget)
         degrees = {sum(g) for g in I.gens}
         for j, out in cw.outcomes.items():
@@ -391,9 +403,51 @@ def test_pure_steps_absorbed_exactly():
                 assert len(set(out.order)) == len(out.order)
                 assert set(out.order) == naive_degree_slice(I, j)
                 assert naive_order_admissible(out.order)
+                continue
+            searched += 1
+            if out.status == FOUND:
+                assert out.witness is None
+                assert len(set(out.order)) == len(out.order)
+                assert set(out.order) == naive_degree_slice(I, j)
+                assert naive_order_admissible(out.order)
+            elif (out.status, out.nodes) == (EXHAUSTED, 0) and out.witness:
+                refuted += 1
+                slice_ = sorted(naive_degree_slice(I, j))
+                assert not naive_exchange_connected(slice_)
+                u, v = out.witness
+                assert u in slice_ and v in slice_
+                assert v not in naive_exchange_part(slice_, u)
             else:
-                searched += 1
-                assert out == find_admissible_order(graded_component(I, j), budget)
+                whole_searched += 1
+                whole = find_admissible_order(graded_component(I, j), budget)
+                assert (out.status, out.order, out.witness) == (
+                    whole.status, whole.order, whole.witness)
+                assert out.nodes >= whole.nodes
         ref = componentwise_reference(I, budget)
         assert cw.value is ref or (ref is None and cw.value is True)
-    assert absorbed > 150 and searched > 500
+    assert absorbed > 150 and searched > 500 and refuted > 150
+    assert whole_searched > 0
+
+
+def test_componentwise_sweep_yields_layered_order():
+    # when every degree with new generators was decided by extending
+    # m * I_<j-1>, the lowest component's order followed by each degree's
+    # new generators, in their extension order, is admissible for I
+    layered = 0
+    for I, budget in componentwise_corpus():
+        cw = has_componentwise_linear_quotients(I, budget)
+        if cw.value is not True:
+            continue
+        lo = I.mindeg
+        order = list(cw.outcomes[lo].order)
+        for j in range(lo + 1, I.maxdeg + 1):
+            base = _times_maximal_order(cw.outcomes[j - 1].order, I.nvars)
+            step = cw.outcomes[j].order
+            if step[:len(base)] != base:
+                break
+            order += step[len(base):]
+        else:
+            assert sorted(order) == sorted(I.gens)
+            assert naive_order_admissible(order)
+            layered += len({sum(g) for g in I.gens}) > 1
+    assert layered > 150
