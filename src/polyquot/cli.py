@@ -14,7 +14,8 @@ Commands::
 
 Exit status: 0 when the command succeeded and any checked predicate held;
 1 when a predicate failed or no order was found; 3 when a search ran out
-of budget (inconclusive); 2 on usage or input errors.
+of budget or ``classify`` skipped its componentwise verdicts at the degree
+guard (inconclusive); 2 on usage or input errors.
 
 Reports are JSON with a ``schema`` field; witnesses carry full exponent
 vectors and 0-based variable indices, so every verdict can be replayed
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .ideal import MonomialIdeal, ZeroIdealError, graded_component, product
+from .ideal import DegreeGuardError, MonomialIdeal, ZeroIdealError, graded_component, product
 from .exchange import (
     _componentwise_verdicts,
     is_componentwise_polymatroidal,
@@ -158,13 +159,20 @@ def _cmd_classify(args) -> int:
     if ideal.is_zero:
         raise ZeroIdealError("cannot classify the zero ideal")
     t0 = time.perf_counter()
-    cw, sep = _componentwise_verdicts(ideal)
     verdicts = {
         "nonpure_exchange": _check_json(satisfies_nonpure_exchange(ideal)),
         "nonpure_dual_exchange": _check_json(satisfies_nonpure_dual_exchange(ideal)),
-        "componentwise_polymatroidal": _check_json(cw, degree=cw.degree),
-        "componentwise_sep": {"ok": sep},
     }
+    code = EXIT_OK
+    try:
+        cw, sep = _componentwise_verdicts(ideal)
+        verdicts["componentwise_polymatroidal"] = _check_json(cw, degree=cw.degree)
+        verdicts["componentwise_sep"] = {"ok": sep}
+    except DegreeGuardError as exc:
+        # only the componentwise verdicts need the components
+        code = EXIT_INCONCLUSIVE
+        skipped = {"skipped": "degree-guard", "degree": exc.degree}
+        verdicts["componentwise_polymatroidal"] = verdicts["componentwise_sep"] = skipped
     if ideal.is_equigenerated:
         poly = is_polymatroidal(ideal)
         verdicts["polymatroidal"] = _check_json(poly)
@@ -190,7 +198,7 @@ def _cmd_classify(args) -> int:
         }
     report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     _emit(report, args)
-    return EXIT_OK
+    return code
 
 
 def _cmd_order(args) -> int:

@@ -23,7 +23,15 @@ class ZeroIdealError(ValueError):
 
 
 class DegreeGuardError(ValueError):
-    """Raised when a graded-component degree exceeds ``DEGREE_GUARD``."""
+    """Raised when a graded-component degree exceeds ``DEGREE_GUARD``;
+    ``degree`` is the degree refused."""
+
+    def __init__(self, degree: int):
+        super().__init__(
+            f"graded component degree {degree} exceeds guard {DEGREE_GUARD}; "
+            "the expansion would enumerate too many monomials"
+        )
+        self.degree = degree
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +349,7 @@ def graded_components(ideal: MonomialIdeal) -> Iterator[tuple]:
 def guard_degree(j: int) -> None:
     """Refuse a component degree beyond ``DEGREE_GUARD``."""
     if j > DEGREE_GUARD:
-        raise DegreeGuardError(
-            f"graded component degree {j} exceeds guard {DEGREE_GUARD}; "
-            "the expansion would enumerate too many monomials"
-        )
+        raise DegreeGuardError(j)
 
 
 def veronese(nvars: int, d: int, caps: Sequence[int]) -> MonomialIdeal:

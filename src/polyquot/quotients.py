@@ -18,20 +18,20 @@ admissible order exists.
 The same bitsets test an equigenerated ideal for exchange connectivity
 before the search: in one degree a colon equal to x_r is a step
 w -> x_r * w / x_s inside G(I), and generators not all joined by such
-steps have no admissible order (see ``_exchange_disconnected``).
+steps have no admissible order (see ``_exchange_unreached``).
 
 The componentwise sweep carries orders, not components.  Above a found
 component, I_<j> = m * I_<j-1> + (N) with N the generators of degree j,
 and m * I_<j-1> has an admissible order read off the one below
 (Sharifan-Varbaro, *Graded Betti numbers of ideals with linear
 quotients*, 2008; cf. Jahan-Zheng, JCTA 117, 2010; see
-``_times_maximal_order``).  So I_<j> is decided from N alone, in four
-steps: (1) that order is the base, and colon bits are built for N only;
-(2) the base is exchange-connected, since it has an admissible order, so
-I_<j> is refuted when some member of N is not joined to it by exchange
-steps; (3) N is searched as an extension of the base; (4) only when the
-extension fails is the whole component searched, since a failed
-extension is not a proof (see ``has_componentwise_linear_quotients``).
+``_times_maximal_order``).  A step of N against it is the same colon
+test as against the few lower generators G(I)_<j (the colon lemma in
+``has_componentwise_linear_quotients``), so I_<j> is decided from
+G(I)_<j + N: (1) colon bits are built for N; (2) I_<j> is refuted when
+some member of N is not joined to G(I)_<j> by exchange steps; (3) N is
+searched as an extension of G(I)_<j>; (4) only when that fails is the
+whole component searched, since a failed extension is not a proof.
 """
 
 from __future__ import annotations
@@ -182,10 +182,6 @@ def order_colon_variables(order: GeneratorOrder) -> tuple:
 # backtracking search
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _colon_bits(universe, nb):
     """Per candidate universe[nb:] and variable x_r, the bitsets (W, K).
 
@@ -230,75 +226,65 @@ def _search_extension(nb, cands, colon_bits, budget):
     passes; ``colon_bits`` is ``_colon_bits(prefix + cands, nb)``.
 
     All monomials must belong to one antichain.  Returns (status, order,
-    nodes) with order a tuple over cands on success.
+    nodes) with order a tuple over cands on success.  The depth-first
+    search is a loop over an explicit stack: unplaced candidates in
+    canonical order, one node per attempted placement, a placed set that
+    failed is never expanded again, and nodes = budget + 1 on overrun.
     """
-    # cands[c] is bit nb + c, and the placed set is base_mask |
-    # (chosen_mask << nb)
-    ncand = len(cands)
-    nodes = 0
+    # cands[c] is bit nb + c; ``free`` holds the candidates left to try
+    everything = (1 << (nb + len(cands))) - 1
+    placed = (1 << nb) - 1
+    free = everything & ~placed
     dead: set[int] = set()
-    base_mask = (1 << nb) - 1
-    full = (1 << ncand) - 1
-    chosen: list[int] = []
-
-    def dfs(chosen_mask: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == ncand:
-            return True
-        if chosen_mask in dead:
-            return False
-        placed = base_mask | (chosen_mask << nb)
-        # the unplaced candidates, lowest bit (canonical order) first
-        free = full & ~chosen_mask
-        while free:
-            bit = free & -free
-            free ^= bit
-            c = bit.bit_length() - 1
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetExceeded
-            # (placed) : cands[c] is generated by the variables x_r that
-            # some placed member's colon equals; the step passes iff every
-            # placed member's colon involves one of them, i.e. lies in the
-            # cover, the union of K over those r.
-            cover = 0
-            for w, k in colon_bits[c]:
-                if placed & w:
-                    cover |= k
-            if placed & ~cover == 0:
-                chosen.append(c)
-                if dfs(chosen_mask | bit):
-                    return True
-                chosen.pop()
-        dead.add(chosen_mask)
-        return False
-
-    try:
-        if dfs(0):
-            return FOUND, tuple(cands[c] for c in chosen), nodes
-        return EXHAUSTED, None, nodes
-    except _BudgetExceeded:
-        return BUDGET_EXCEEDED, None, nodes
+    stack = []  # (placed, free, c) of each enclosing depth, c chosen there
+    nodes = 0
+    while placed != everything:
+        if not free:
+            dead.add(placed)
+            if not stack:
+                return EXHAUSTED, None, nodes
+            placed, free, _ = stack.pop()
+            continue
+        bit = free & -free
+        free ^= bit
+        c = bit.bit_length() - 1 - nb
+        nodes += 1
+        if nodes > budget:
+            return BUDGET_EXCEEDED, None, nodes
+        # (placed) : cands[c] is generated by the variables x_r that some
+        # placed member's colon equals; the step passes iff every placed
+        # member's colon involves one of them, i.e. lies in the cover, the
+        # union of K over those r.
+        cover = 0
+        for w, k in colon_bits[c]:
+            if placed & w:
+                cover |= k
+        if placed & ~cover == 0 and placed | bit not in dead:
+            stack.append((placed, free, c))
+            placed |= bit
+            free = everything & ~placed
+    return FOUND, tuple(cands[c] for _, _, c in stack), nodes
 
 
-def _exchange_disconnected(universe, colon_bits, reached) -> Optional[tuple]:
-    """A pair of members of an equigenerated universe that no chain of
-    exchange steps joins, or None.
+def _exchange_unreached(universe, colon_bits, reached) -> Optional[Monomial]:
+    """The first member of ``universe`` that no chain of exchange steps
+    joins to the members in ``reached``, or None.
 
     An exchange step replaces w by x_r * w / x_s within the generator set.
-    In an admissible order u_1, ..., u_m each colon (u_1, ..., u_{i-1}) : u_i
-    with i >= 2 is generated by variables, each of them some u_l : u_i; in
-    one degree u_l : u_i = x_r means u_l = x_r * u_i / x_s.  So every
-    generator is one step from an earlier one, and a disconnected
-    generator set has no admissible order.
+    In an admissible order u_1, ..., u_m of an equigenerated ideal each
+    colon (u_1, ..., u_{i-1}) : u_i with i >= 2 is generated by variables,
+    each of them some u_l : u_i; in one degree u_l : u_i = x_r means
+    u_l = x_r * u_i / x_s.  So every generator is one step from an earlier
+    one, and a disconnected generator set has no admissible order.
 
-    ``colon_bits`` is ``_colon_bits(universe, nb)``, and the mask
-    ``reached`` holds bit 0, every member below nb and nothing but members
-    already joined to universe[0].  In one degree a colon equal to x_r is
-    one step, and steps are symmetric, so the steps from a candidate are
-    the union over r of its W bitsets.  The flood starts at the candidates
-    one step from ``reached`` and gives (universe[0], the first member it
-    misses).
+    ``colon_bits`` is ``_colon_bits(universe, nb)``; the mask ``reached``
+    holds bit 0, every member below nb and nothing but members joined to
+    one another (lower-degree members stand for their multiples, as in
+    step 2 of :func:`has_componentwise_linear_quotients`).  The steps
+    from a candidate are the union over r of its W bitsets: among
+    candidates of one degree a colon equal to x_r is one step, and steps
+    are symmetric.  The flood starts at the candidates one step from
+    ``reached``.
     """
     nb = len(universe) - len(colon_bits)
     steps = []
@@ -319,9 +305,7 @@ def _exchange_disconnected(universe, colon_bits, reached) -> Optional[tuple]:
         todo |= s
         reached |= s
     missed = ~reached & ((1 << len(universe)) - 1)
-    if not missed:
-        return None
-    return universe[0], universe[(missed & -missed).bit_length() - 1]
+    return universe[(missed & -missed).bit_length() - 1] if missed else None
 
 
 def find_admissible_order(
@@ -332,20 +316,21 @@ def find_admissible_order(
     The colon bits of the generators are built once.  An equigenerated
     ideal whose generators are not connected by exchange steps
     w -> x_r * w / x_s is refuted from them before any search: the outcome
-    is ``exhausted`` with 0 nodes and ``witness`` the pair (u, v) no chain
-    of steps joins.  Otherwise a backtracking search over the same bits
-    tries candidates in canonical generator order, so node counts are
-    reproducible.  ``exhausted`` is a proof that no admissible order
-    exists; ``budget-exceeded`` is inconclusive.
+    is ``exhausted`` with 0 nodes and ``witness`` the pair (first
+    generator, first generator in canonical order not joined to it).
+    Otherwise a backtracking search over the same bits tries candidates in
+    canonical generator order, so node counts are reproducible.
+    ``exhausted`` is a proof that no admissible order exists;
+    ``budget-exceeded`` is inconclusive.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no generator ordering")
     gens = ideal.gens
     colon_bits = _colon_bits(gens, 0)
     if ideal.is_equigenerated:
-        pair = _exchange_disconnected(gens, colon_bits, 1)
-        if pair is not None:
-            return SearchOutcome(EXHAUSTED, None, 0, pair)
+        v = _exchange_unreached(gens, colon_bits, 1)
+        if v is not None:
+            return SearchOutcome(EXHAUSTED, None, 0, (gens[0], v))
     status, order, nodes = _search_extension(0, gens, colon_bits, budget)
     return SearchOutcome(status, order, nodes)
 
@@ -378,30 +363,35 @@ def _times_maximal_order(order: tuple, nvars: int) -> tuple:
     listed earlier.  When u_1, ..., u_k is an admissible order, so is this;
     the proof is in :func:`has_componentwise_linear_quotients`.
     """
-    return tuple(dict.fromkeys(
-        u[:r] + (u[r] + 1,) + u[r + 1:] for u in order for r in range(nvars)
-    ))
+    out = {}
+    for u in order:
+        w = list(u)
+        for r in range(nvars):
+            w[r] += 1
+            out[tuple(w)] = None
+            w[r] -= 1
+    return tuple(out)
 
 
-def _decide_stepped(base: tuple, new: tuple, nvars: int, budget: int):
-    """(outcome, component) for I_<j> = m * I_<j-1> + (new), where ``base``
-    is an admissible order of m * I_<j-1> and ``new`` the generators of I
-    of degree j; the component is built only when it is searched whole.
-    The four steps and their proofs are in
+def _decide_stepped(lower: tuple, base: tuple, new: tuple, nvars: int, budget: int):
+    """(outcome, component) for I_<j> = m * I_<j-1> + (new), where ``lower``
+    is G(I)_<j, ``base`` an admissible order of m * I_<j-1> and ``new`` the
+    generators of I of degree j; the component is built only when it is
+    searched whole.  The four steps and their proofs are in
     :func:`has_componentwise_linear_quotients`.
     """
     if not new:
         return SearchOutcome(FOUND, base, 0), None
-    nb = len(base)
-    universe = base + new
+    nb = len(lower)
+    universe = lower + new
     colon_bits = _colon_bits(universe, nb)
-    pair = _exchange_disconnected(universe, colon_bits, (1 << nb) - 1)
-    if pair is not None:
-        return SearchOutcome(EXHAUSTED, None, 0, pair), None
+    v = _exchange_unreached(universe, colon_bits, (1 << nb) - 1)
+    if v is not None:
+        return SearchOutcome(EXHAUSTED, None, 0, (base[0], v)), None
     status, order, nodes = _search_extension(nb, new, colon_bits, budget)
     if status == FOUND:
         return SearchOutcome(FOUND, base + order, nodes), None
-    comp = MonomialIdeal._equigenerated(nvars, universe)
+    comp = MonomialIdeal._equigenerated(nvars, base + new)
     whole = find_admissible_order(comp, budget)
     return SearchOutcome(
         whole.status, whole.order, nodes + whole.nodes, whole.witness
@@ -420,8 +410,20 @@ def has_componentwise_linear_quotients(
     the one below, I_<j> = m * I_<j-1> + (N) with N the generators of I of
     degree j.
 
-    Above a found component, I_<j> is decided from N alone (see
-    :func:`_decide_stepped`):
+    The colon lemma.  For v of degree j, not in (G(I)_<j), and T a set of
+    degree-j monomials, (G(I)_<j + T) : v = (m * I_<j-1> + T) : v.  The
+    generators of m * I_<j-1> are the degree-j monomials of (G(I)_<j),
+    and each h of them is a multiple of some g in G(I)_<j, so h : v is a
+    multiple of g : v.  Conversely, for g in G(I)_<j write g = c * a and
+    v = c * b with c = gcd(g, v); deg a < deg b, so some b' dividing b
+    has deg b' = deg b - deg a, and h = g * b' is a generator of
+    m * I_<j-1> (degree j, a multiple of g) with h : v = a = g : v, as
+    gcd(a, b) = 1.  So the colons of the two sets against v generate the
+    same ideal, and one of them is the variable x_r iff one of the other
+    set is.
+
+    Above a found component, I_<j> is decided from G(I)_<j, gathered
+    from the degrees already swept, and N (see :func:`_decide_stepped`):
 
     1. Base.  :func:`_times_maximal_order` of the order below is an
        admissible order of m * I_<j-1> (Sharifan-Varbaro 2008; cf.
@@ -429,21 +431,23 @@ def has_componentwise_linear_quotients(
        x_s * u_l with l < i meets some x_t != x_r dividing u_l : u_i with
        u_l' : u_i = x_t, l' < i.  So x_t * u_i = x_q * u_l' is listed
        before w, and its colon is x_t; an earlier x_s * u_i has colon x_s.
-       N is disjoint from the base, its members being minimal generators,
-       so colon bits are built for N only.  With N empty (a pure step)
-       the base is the outcome, with 0 nodes.
+       With N empty (a pure step) the base is the outcome, with 0 nodes.
+       Otherwise colon bits are built for N over G(I)_<j + N, which are
+       all minimal generators of I and so one antichain.
     2. Refuter.  The base has an admissible order, so it is joined by
-       exchange steps (see :func:`_exchange_disconnected`); I_<j> is then
-       joined iff every member of N reaches the base through the W bits
-       of N.  If one does not, I_<j> has no admissible order: exhausted,
-       0 nodes, witness (base[0], that member).
-    3. Extension.  N is searched after the base; an order found is the
-       base followed by it.
-    4. Otherwise the whole component goes to :func:`find_admissible_order`
-       with its own full budget, and the outcome takes that search's
-       status, order and witness, with the nodes of both searches.  This
-       path stays because a failed extension is not a proof: a step of N
-       against the base is the same test as against G(I)_<j (below), so a
+       exchange steps (see :func:`_exchange_unreached`).  A member of N is
+       one step from the base iff some member of G(I)_<j has colon
+       exactly x_r against it (the lemma), so I_<j> is joined iff every
+       member of N reaches G(I)_<j> through the W bits of N.  If one does
+       not, I_<j> has no admissible order: exhausted, 0 nodes, witness
+       (base[0], that member).
+    3. Extension.  N is searched after G(I)_<j>; by the lemma each step,
+       and so the nodes and the order, are those of N after the base.  The
+       order found is the base followed by it.
+    4. Otherwise the whole component, the base and N, goes to
+       :func:`find_admissible_order` with its own full budget, and the
+       outcome takes that search's status, order and witness, with the
+       nodes of both searches.  A failed extension is not a proof: a
        proof that the extension always exists would settle whether
        componentwise linear quotients imply linear quotients.
 
@@ -454,14 +458,7 @@ def has_componentwise_linear_quotients(
     has an admissible order, so against a search of every component a
     verdict can only move from None to True.
 
-    The layered order.  For v of degree j, not in (G(I)_<j), and T a set
-    of degree-j monomials, (G(I)_<j + T) : v = (m * I_<j-1> + T) : v.  The
-    generators of m * I_<j-1> are the degree-j monomials of (G(I)_<j),
-    which gives one inclusion.  For g in G(I)_<j write g = c * a and
-    v = c * b with c = gcd(g, v); deg a < deg b, so some b' dividing b
-    has deg b' = deg b - deg a, and h = g * b' is a generator of
-    m * I_<j-1> (degree j, a multiple of g) with h : v = a = g : v, as
-    gcd(a, b) = 1.  A colon depends only on the set placed, so when
+    The layered order.  A colon depends only on the set placed, so when
     every degree with new generators was decided by an extension, the
     order of the lowest component followed by the extension part of each
     degree's order, degree by degree, is an admissible order of I itself.
@@ -475,21 +472,23 @@ def has_componentwise_linear_quotients(
     outcomes: dict[int, SearchOutcome] = {}
     saw_budget = False
     res = comp = None
+    lower: tuple = ()
     for j in range(ideal.mindeg, ideal.maxdeg + 1):
+        new = tuple(new_gens.get(j, ()))
         if res is None:
             comp = graded_component(ideal, j)
             res = find_admissible_order(comp, budget)
         else:
             guard_degree(j)
-            new = tuple(new_gens.get(j, ()))
             if res.status == FOUND:
                 base = _times_maximal_order(res.order, n)
-                res, comp = _decide_stepped(base, new, n, budget)
+                res, comp = _decide_stepped(lower, base, new, n, budget)
             else:
                 comp = MonomialIdeal._equigenerated(
                     n, _times_maximal_order(comp.gens, n) + new
                 )
                 res = find_admissible_order(comp, budget)
+        lower += new
         outcomes[j] = res
         if res.status == EXHAUSTED:
             return ComponentwiseLQ(False, outcomes)

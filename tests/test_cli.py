@@ -89,11 +89,26 @@ def test_classify_warns_on_non_minimal(tmp_path, capsys):
     assert report["warnings"] == ["input-not-minimal"]
 
 
-def test_classify_degree_guard_exits_2(tmp_path, capsys):
+def test_classify_degree_guard_skips_componentwise(tmp_path, capsys):
+    # the guard costs only the two componentwise verdicts: the report is
+    # emitted with them skipped at the degree the sweep refused, the rest
+    # equals their predicates' checks, and the exit is inconclusive
     path = tmp_path / "i.txt"
-    path.write_text("n=2\n70 0\n0 70\n")
-    assert main(["classify", "--input", str(path)]) == EXIT_ERROR
-    assert "graded component degree 70 exceeds guard 64; " in capsys.readouterr().err
+    for gens, degree in ((((70, 0), (0, 70)), 70), (((60, 0), (0, 70)), 65)):
+        I = ideal(2, *gens)
+        path.write_text(serialize_ideal(I))
+        assert main(["classify", "--input", str(path)]) == EXIT_INCONCLUSIVE
+        out = capsys.readouterr()
+        assert out.err == ""
+        report = json.loads(out.out)
+        verdicts = report["verdicts"]
+        skipped = {"skipped": "degree-guard", "degree": degree}
+        assert verdicts["componentwise_polymatroidal"] == skipped
+        assert verdicts["componentwise_sep"] == skipped
+        assert verdicts["nonpure_exchange"]["ok"] is satisfies_nonpure_exchange(I).ok
+        assert verdicts["nonpure_dual_exchange"]["ok"] is (
+            satisfies_nonpure_dual_exchange(I).ok)
+        assert report["bivariate"]["kind"] == "not-tight"
 
 
 def test_classify_sweeps_components_once(capsys, monkeypatch):

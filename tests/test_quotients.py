@@ -1,5 +1,6 @@
 """Admissible-order checking and search against the factorial oracle."""
 
+import hashlib
 import itertools
 import random
 
@@ -451,3 +452,45 @@ def test_componentwise_sweep_yields_layered_order():
             assert naive_order_admissible(order)
             layered += len({sum(g) for g in I.gens}) > 1
     assert layered > 150
+
+
+def test_componentwise_outcomes_pinned():
+    # every verdict, status, order, node count and witness of the sweep
+    # over the corpus, as recorded before the stepped components were
+    # decided against G(I)_<j in place of m * I_<j-1>
+    rows = []
+    for I, budget in componentwise_corpus():
+        cw = has_componentwise_linear_quotients(I, budget)
+        rows.append((cw.value, {
+            j: (out.status, out.order, out.nodes, out.witness)
+            for j, out in cw.outcomes.items()
+        }))
+    assert len(rows) == 651
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "bf2ed3aa999222f621ce4371bf1518e68314f38695b61ba60baab4f5d6257d21")
+
+
+def test_stepped_extension_against_lower_generators():
+    # the colon lemma, on the reference search alone: above a found
+    # component, extending G(I)_<j by the degree-j generators N is the same
+    # search as extending the listing of m * I_<j-1>, in status, order and
+    # nodes; a found extension is the library's outcome after that listing
+    compared = found = 0
+    for I, budget in componentwise_corpus():
+        cw = has_componentwise_linear_quotients(I, budget)
+        for j, out in cw.outcomes.items():
+            below = cw.outcomes.get(j - 1)
+            new = tuple(g for g in I.gens if sum(g) == j)
+            if not new or below is None or below.status != FOUND:
+                continue
+            lower = tuple(g for g in I.gens if sum(g) < j)
+            base = _times_maximal_order(below.order, I.nvars)
+            assert set(base) == naive_degree_slice(I, j) - set(new)
+            ref = naive_search_extension(lower, new, budget)
+            assert ref == naive_search_extension(base, new, budget)
+            compared += 1
+            if ref[0] == FOUND:
+                found += 1
+                assert (out.status, out.order, out.nodes) == (
+                    FOUND, base + ref[1], ref[2])
+    assert compared > 300 and found > 200
