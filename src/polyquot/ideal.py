@@ -328,7 +328,8 @@ def graded_components(ideal: MonomialIdeal) -> Iterator[tuple]:
     """Yield (j, I_<j>) for j = mindeg..maxdeg, each stepped up from the last.
 
     I_<mindeg> holds the generators of degree mindeg, and I_<j+1> is
-    {x_r * w : w in G(I_<j>)} together with the generators of degree j+1.
+    {x_r * w : w in G(I_<j>)} (:func:`_times_maximal_order`) together with
+    the generators of degree j+1.
     Components beyond maxdeg are products with the maximal ideal, so the
     componentwise predicates need none of them.  ``DegreeGuardError`` is
     raised only on reaching a degree beyond ``DEGREE_GUARD``.  For one
@@ -340,10 +341,26 @@ def graded_components(ideal: MonomialIdeal) -> Iterator[tuple]:
     yield j, comp
     for j in range(j + 1, ideal.maxdeg + 1):
         guard_degree(j)
-        step = {w[:r] + (w[r] + 1,) + w[r + 1:] for w in comp.gens for r in range(n)}
-        step.update(g for g in ideal.gens if sum(g) == j)
-        comp = MonomialIdeal._equigenerated(n, step)
+        new = tuple(g for g in ideal.gens if sum(g) == j)
+        comp = MonomialIdeal._equigenerated(n, _times_maximal_order(comp.gens, n) + new)
         yield j, comp
+
+
+def _times_maximal_order(order: tuple, nvars: int) -> tuple:
+    """The generators of m * (u_1, ..., u_k) for an equigenerated
+    u_1, ..., u_k: for i = 1..k, the products x_r * u_i (r = 0..n-1) not
+    listed earlier.  This is the step of :func:`graded_components`; when
+    u_1, ..., u_k is an admissible order, so is this listing (the proof is
+    in :func:`polyquot.quotients.has_componentwise_linear_quotients`).
+    """
+    out = {}
+    for u in order:
+        w = list(u)
+        for r in range(nvars):
+            w[r] += 1
+            out[tuple(w)] = None
+            w[r] -= 1
+    return tuple(out)
 
 
 def guard_degree(j: int) -> None:

@@ -25,8 +25,9 @@ component, I_<j> = m * I_<j-1> + (N) with N the generators of degree j,
 and m * I_<j-1> has an admissible order read off the one below
 (Sharifan-Varbaro, *Graded Betti numbers of ideals with linear
 quotients*, 2008; cf. Jahan-Zheng, JCTA 117, 2010; see
-``_times_maximal_order``).  A step of N against it is the same colon
-test as against the few lower generators G(I)_<j (the colon lemma in
+``ideal._times_maximal_order``, the step of ``graded_components``).  A
+step of N against it is the same colon test as against the few lower
+generators G(I)_<j (the colon lemma in
 ``has_componentwise_linear_quotients``), so I_<j> is decided from
 G(I)_<j + N: (1) colon bits are built for N; (2) I_<j> is refuted when
 some member of N is not joined to G(I)_<j> by exchange steps; (3) N is
@@ -43,6 +44,7 @@ from .ideal import (
     MonomialIdeal,
     Monomial,
     ZeroIdealError,
+    _times_maximal_order,
     graded_component,
     guard_degree,
     monomial_colon,
@@ -355,22 +357,6 @@ def extends_by_linear_quotients(
     colon_bits = _colon_bits(inner.gens + cands, nb)
     status, order, nodes = _search_extension(nb, cands, colon_bits, budget)
     return SearchOutcome(status, order, nodes)
-
-
-def _times_maximal_order(order: tuple, nvars: int) -> tuple:
-    """The generators of m * (u_1, ..., u_k) for an equigenerated
-    u_1, ..., u_k: for i = 1..k, the products x_r * u_i (r = 0..n-1) not
-    listed earlier.  When u_1, ..., u_k is an admissible order, so is this;
-    the proof is in :func:`has_componentwise_linear_quotients`.
-    """
-    out = {}
-    for u in order:
-        w = list(u)
-        for r in range(nvars):
-            w[r] += 1
-            out[tuple(w)] = None
-            w[r] -= 1
-    return tuple(out)
 
 
 def _decide_stepped(lower: tuple, base: tuple, new: tuple, nvars: int, budget: int):

@@ -1,5 +1,6 @@
 """Command-line front end: reports, exit codes, search determinism, resume."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-import polyquot.cli
 import polyquot.ideal
+import polyquot.search
 from polyquot import (
     GeneratorOrder,
     graded_component,
@@ -28,6 +29,7 @@ from polyquot.cli import (
     main,
     question1_search,
 )
+from polyquot.search import _config_digest
 from conftest import ideal, DUAL_ONLY, SEVEN_GENS, SEVEN_ORDER, SQUARE_REGRESSION
 from oracles import naive_exchange_witness
 
@@ -272,6 +274,24 @@ def test_product_command(tmp_path, capsys):
     assert report["componentwise_polymatroidal"]["ok"] is True
 
 
+def test_product_degree_guard_skips_componentwise(tmp_path, capsys):
+    # the product (x^35)(y^35) has its only generator in degree 70, past
+    # the guard: the report skips the componentwise verdict, the product is
+    # still printed, and the exit is inconclusive
+    pa = write_ideal(tmp_path, "a.txt", ideal(2, (35, 0)))
+    pb = write_ideal(tmp_path, "b.txt", ideal(2, (0, 35)))
+    code = main(["product", "--input", pa, "--input", pb, "--json"])
+    out = capsys.readouterr()
+    assert code == EXIT_INCONCLUSIVE and out.err == ""
+    cut = out.out.index("\nn=") + 1
+    report = json.loads(out.out[:cut])
+    assert report["componentwise_polymatroidal"] == {
+        "skipped": "degree-guard", "degree": 70}
+    assert report["product"]["gens"] == [[35, 35]]
+    assert "bivariate" in report
+    assert out.out[cut:] == serialize_ideal(ideal(2, (35, 35)))
+
+
 def test_component_command(tmp_path, capsys):
     I = ideal(4, *DUAL_ONLY)
     path = write_ideal(tmp_path, "i.txt", I)
@@ -413,6 +433,37 @@ def test_search_random_mode_resume(tmp_path):
     assert (tmp_path / "rpart.jsonl").read_bytes() == (tmp_path / "rfull.jsonl").read_bytes()
 
 
+def test_search_config_digest_pinned(tmp_path):
+    # a checkpoint names its configuration by this digest, so a change to
+    # it would refuse every existing checkpoint; output path, checkpoint
+    # path and limit do not enter it
+    cfg = search_config(tmp_path, **RANDOM_SEARCH)
+    assert _config_digest(cfg) == "72b5ddedf40446f7"
+    other = dataclasses.replace(
+        cfg, nvars_hi=2, exhaustive=True, symmetry_reduce=True,
+        out_path="other.jsonl", checkpoint_path="ck.json", limit=7,
+    )
+    assert _config_digest(other) == "74654f96b78851c8"
+
+
+def test_search_summary_stopped_at_and_complete(tmp_path):
+    # (stopped_at, complete, scanned) over the 68 ideals of search_config
+    ck = str(tmp_path / "ck.json")
+
+    def run(name, **kw):
+        s = question1_search(search_config(tmp_path, out_path=str(tmp_path / name), **kw))
+        return s.stopped_at, s.complete, s.scanned
+
+    assert run("straight.jsonl") == (68, True, 68)
+    assert run("limit.jsonl", limit=25) == (25, False, 25)
+    assert run("zero.jsonl", limit=0) == (0, False, 0)
+    assert run("last.jsonl", limit=68) == (68, True, 68)
+    assert run("sym.jsonl", limit=40, symmetry_reduce=True) == (40, False, 25)
+    assert run("resume.jsonl", limit=25, checkpoint_path=ck) == (25, False, 25)
+    assert run("resume.jsonl", checkpoint_path=ck) == (68, True, 43)
+    assert run("resume.jsonl", checkpoint_path=ck) == (68, True, 0)
+
+
 def test_golden_search_jsonl(tmp_path, capsys):
     # `polyquot search` on RANDOM_SEARCH must reproduce
     # tests/data/golden/search.jsonl byte for byte
@@ -436,7 +487,7 @@ def test_search_resume_after_record_without_checkpoint(tmp_path, monkeypatch):
         tmp_path, out_path=str(tmp_path / "part.jsonl"),
         checkpoint_path=str(tmp_path / "ck.json"), **kw,
     )
-    save = polyquot.cli._save_checkpoint
+    save = polyquot.search._save_checkpoint
     saved_size = [0]
     grown = []
 
@@ -449,7 +500,7 @@ def test_search_resume_after_record_without_checkpoint(tmp_path, monkeypatch):
         save(cfg, *args)
         saved_size[0] = size
 
-    monkeypatch.setattr(polyquot.cli, "_save_checkpoint", fail_on_second_record)
+    monkeypatch.setattr(polyquot.search, "_save_checkpoint", fail_on_second_record)
     with pytest.raises(RuntimeError):
         question1_search(part)
     monkeypatch.undo()
