@@ -15,29 +15,16 @@ partial order depends only on the *set* already placed, so failed prefix
 sets are memoized and an exhausted verdict is a complete proof that no
 admissible order exists.
 
-The same bitsets test an equigenerated ideal for exchange connectivity
-before the search: in one degree a colon equal to x_r is a step
-w -> x_r * w / x_s inside G(I), and generators not all joined by such
-steps have no admissible order (see ``_exchange_unreached``).
-
-The componentwise sweep carries orders, not components.  Above a found
-component, I_<j> = m * I_<j-1> + (N) with N the generators of degree j,
-and m * I_<j-1> has an admissible order read off the one below
-(Sharifan-Varbaro, *Graded Betti numbers of ideals with linear
-quotients*, 2008; cf. Jahan-Zheng, JCTA 117, 2010; see
-``ideal._times_maximal_order``, the step of ``graded_components``).  A
-step of N against it is the same colon test as against the few lower
-generators G(I)_<j (the colon lemma in
-``has_componentwise_linear_quotients``), so I_<j> is decided from
-G(I)_<j + N: (1) colon bits are built for N; (2) I_<j> is refuted when
-some member of N is not joined to G(I)_<j> by exchange steps; (3) N is
-searched as an extension of G(I)_<j>; (4) only when that fails is the
-whole component searched, since a failed extension is not a proof.
+:func:`find_admissible_order` and the componentwise sweep decide layers:
+the generators of one degree, placed after all those of lower degree
+(:func:`_decide_layer`).  The same bitsets first refute a layer not
+joined to the ones below by exchange steps (``_exchange_unreached``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .ideal import (
@@ -269,24 +256,20 @@ def _search_extension(nb, cands, colon_bits, budget):
 
 
 def _exchange_unreached(universe, colon_bits, reached) -> Optional[Monomial]:
-    """The first member of ``universe`` that no chain of exchange steps
-    joins to the members in ``reached``, or None.
+    """The first member of ``universe`` that no chain of steps joins to
+    the members in ``reached``, or None.
 
-    An exchange step replaces w by x_r * w / x_s within the generator set.
-    In an admissible order u_1, ..., u_m of an equigenerated ideal each
-    colon (u_1, ..., u_{i-1}) : u_i with i >= 2 is generated by variables,
-    each of them some u_l : u_i; in one degree u_l : u_i = x_r means
-    u_l = x_r * u_i / x_s.  So every generator is one step from an earlier
-    one, and a disconnected generator set has no admissible order.
+    ``colon_bits`` is ``_colon_bits(universe, nb)``, its candidates of one
+    degree.  A step joins u to a candidate v when u : v = x_r (in W):
+    among the candidates that is the exchange step u = x_r * v / x_s,
+    which is symmetric.  The mask ``reached`` holds bit 0, every member
+    below nb and nothing but members joined to one another.
 
-    ``colon_bits`` is ``_colon_bits(universe, nb)``; the mask ``reached``
-    holds bit 0, every member below nb and nothing but members joined to
-    one another (lower-degree members stand for their multiples, as in
-    step 2 of :func:`has_componentwise_linear_quotients`).  The steps
-    from a candidate are the union over r of its W bitsets: among
-    candidates of one degree a colon equal to x_r is one step, and steps
-    are symmetric.  The flood starts at the candidates one step from
-    ``reached``.
+    In an admissible order each colon (u_1, ..., u_{i-1}) : u_i with
+    i >= 2 is generated by variables, each of them some u_l : u_i, so
+    every generator after the first is one step from an earlier one.  An
+    order placing the members below nb first and passing each candidate's
+    step so joins every candidate to them, or, with none, to one another.
     """
     nb = len(universe) - len(colon_bits)
     steps = []
@@ -310,31 +293,56 @@ def _exchange_unreached(universe, colon_bits, reached) -> Optional[Monomial]:
     return universe[(missed & -missed).bit_length() - 1] if missed else None
 
 
+def _layers(gens) -> dict:
+    """The canonical generators by degree, highest degree first."""
+    return {d: tuple(layer) for d, layer in groupby(gens, sum)}
+
+
+def _decide_layer(lower: tuple, new: tuple, budget: int):
+    """(status, order, nodes, v) for the generators ``new`` of one degree
+    ordered after the lower generators ``lower``, all one antichain.  A
+    member v of ``new`` not joined to the rest (see
+    :func:`_exchange_unreached`) refutes every such order: exhausted with
+    0 nodes.  Otherwise v is None, and a found order is over ``new``.
+    """
+    nb = len(lower)
+    universe = lower + new
+    colon_bits = _colon_bits(universe, nb)
+    v = _exchange_unreached(universe, colon_bits, (1 << nb) - 1 or 1)
+    if v is not None:
+        return EXHAUSTED, None, 0, v
+    return (*_search_extension(nb, new, colon_bits, budget), None)
+
+
 def find_admissible_order(
     ideal: MonomialIdeal, budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """Search for an admissible order of the minimal generators.
 
-    The colon bits of the generators are built once.  An equigenerated
-    ideal whose generators are not connected by exchange steps
-    w -> x_r * w / x_s is refuted from them before any search: the outcome
-    is ``exhausted`` with 0 nodes and ``witness`` the pair (first
-    generator, first generator in canonical order not joined to it).
-    Otherwise a backtracking search over the same bits tries candidates in
-    canonical generator order, so node counts are reproducible.
-    ``exhausted`` is a proof that no admissible order exists;
-    ``budget-exceeded`` is inconclusive.
+    An ideal has linear quotients iff it has an admissible order in which
+    degrees do not decrease (Jahan-Zheng, JCTA 117, 2010, Lemma 2.1).  So
+    each degree, lowest first, is decided as a layer after all lower ones
+    (:func:`_decide_layer`); the order found is the layers' orders in turn,
+    and all layers share the one budget (nodes = budget + 1 on overrun).
+    A refuted layer gives ``exhausted``, 0 nodes and ``witness`` (first
+    generator of the lowest degree, first one of the layer not joined).
+    Candidates are tried in canonical order, so node counts are
+    reproducible.  ``exhausted`` is a proof that no admissible order
+    exists; ``budget-exceeded`` is inconclusive.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no generator ordering")
-    gens = ideal.gens
-    colon_bits = _colon_bits(gens, 0)
-    if ideal.is_equigenerated:
-        v = _exchange_unreached(gens, colon_bits, 1)
+    lower, order, nodes = (), (), 0
+    for new in reversed(_layers(ideal.gens).values()):
+        status, part, used, v = _decide_layer(lower, new, budget - nodes)
         if v is not None:
-            return SearchOutcome(EXHAUSTED, None, 0, (gens[0], v))
-    status, order, nodes = _search_extension(0, gens, colon_bits, budget)
-    return SearchOutcome(status, order, nodes)
+            return SearchOutcome(EXHAUSTED, None, 0, ((lower or new)[0], v))
+        nodes += used
+        if status != FOUND:
+            return SearchOutcome(status, None, nodes)
+        order += part
+        lower += new
+    return SearchOutcome(FOUND, order, nodes)
 
 
 def extends_by_linear_quotients(
@@ -343,9 +351,9 @@ def extends_by_linear_quotients(
     """Search for an ordering of G(outer) minus G(inner) extending inner.
 
     Requires G(inner) to be a subset of G(outer).  Found outcomes carry
-    the appended ordering; with a zero inner ideal this is the DFS of
-    :func:`find_admissible_order` on outer, without its connectivity
-    refuter.
+    the appended ordering.  One DFS places every candidate, whatever its
+    degree: with a zero inner ideal and an equigenerated outer ideal this
+    is the DFS of :func:`find_admissible_order`, without its refuter.
     """
     if inner.nvars != outer.nvars:
         raise ValueError("variable counts differ")
@@ -368,13 +376,9 @@ def _decide_stepped(lower: tuple, base: tuple, new: tuple, nvars: int, budget: i
     """
     if not new:
         return SearchOutcome(FOUND, base, 0), None
-    nb = len(lower)
-    universe = lower + new
-    colon_bits = _colon_bits(universe, nb)
-    v = _exchange_unreached(universe, colon_bits, (1 << nb) - 1)
+    status, order, nodes, v = _decide_layer(lower, new, budget)
     if v is not None:
         return SearchOutcome(EXHAUSTED, None, 0, (base[0], v)), None
-    status, order, nodes = _search_extension(nb, new, colon_bits, budget)
     if status == FOUND:
         return SearchOutcome(FOUND, base + order, nodes), None
     comp = MonomialIdeal._equigenerated(nvars, base + new)
@@ -418,18 +422,15 @@ def has_componentwise_linear_quotients(
        u_l' : u_i = x_t, l' < i.  So x_t * u_i = x_q * u_l' is listed
        before w, and its colon is x_t; an earlier x_s * u_i has colon x_s.
        With N empty (a pure step) the base is the outcome, with 0 nodes.
-       Otherwise colon bits are built for N over G(I)_<j + N, which are
-       all minimal generators of I and so one antichain.
-    2. Refuter.  The base has an admissible order, so it is joined by
-       exchange steps (see :func:`_exchange_unreached`).  A member of N is
-       one step from the base iff some member of G(I)_<j has colon
-       exactly x_r against it (the lemma), so I_<j> is joined iff every
-       member of N reaches G(I)_<j> through the W bits of N.  If one does
-       not, I_<j> has no admissible order: exhausted, 0 nodes, witness
-       (base[0], that member).
-    3. Extension.  N is searched after G(I)_<j>; by the lemma each step,
-       and so the nodes and the order, are those of N after the base.  The
-       order found is the base followed by it.
+       Otherwise N is decided after G(I)_<j> by :func:`_decide_layer`.
+    2. Refuter.  An admissible order of I_<j> joins all of it by exchange
+       steps (see :func:`_exchange_unreached`), and by the lemma a member
+       of N is one step from the base iff it is one from G(I)_<j>.  So a
+       member of N not joined to G(I)_<j> refutes I_<j>: exhausted,
+       0 nodes, witness (base[0], that member).
+    3. Extension.  By the lemma each step of N after G(I)_<j>, and so the
+       nodes and the order, are those of N after the base.  The order
+       found is the base followed by it.
     4. Otherwise the whole component, the base and N, goes to
        :func:`find_admissible_order` with its own full budget, and the
        outcome takes that search's status, order and witness, with the
@@ -452,15 +453,13 @@ def has_componentwise_linear_quotients(
     if ideal.is_zero:
         raise ZeroIdealError("predicate undefined on the zero ideal")
     n = ideal.nvars
-    new_gens: dict[int, list] = {}
-    for g in ideal.gens:
-        new_gens.setdefault(sum(g), []).append(g)
+    new_gens = _layers(ideal.gens)
     outcomes: dict[int, SearchOutcome] = {}
     saw_budget = False
     res = comp = None
     lower: tuple = ()
     for j in range(ideal.mindeg, ideal.maxdeg + 1):
-        new = tuple(new_gens.get(j, ()))
+        new = new_gens.get(j, ())
         if res is None:
             comp = graded_component(ideal, j)
             res = find_admissible_order(comp, budget)

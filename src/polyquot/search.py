@@ -3,10 +3,10 @@ quotients?
 
 :func:`question1_search` scans a box of ideals (every antichain of an
 exponent box, or seeded random draws) and writes one JSON line per ideal
-whose components all have linear quotients but whose global search did
-not find an order.  Records carry no timing data, so identical
-configurations write identical bytes, and a run resumes from its
-checkpoint without writing a record twice.
+whose components all have linear quotients but whose layered search for
+an admissible order did not find one.  Records carry no timing data, so
+identical configurations write identical bytes, and a run resumes from
+its checkpoint without writing a record twice.
 """
 
 from __future__ import annotations
@@ -175,20 +175,21 @@ def _scan(ideal: MonomialIdeal, budget: int, summary: SearchSummary):
 
 
 def question1_search(cfg: SearchConfig) -> SearchSummary:
-    """Scan ideals with componentwise linear quotients for ones where the
-    global admissible-order search does not succeed.
+    """Scan ideals with componentwise linear quotients for ones where
+    :func:`find_admissible_order`, layer by layer, finds no order.
 
-    Every scanned case whose global search did not return ``found`` is
-    appended to the output file as one JSON line: exhausted global
-    searches are flagged ``candidate-counterexample`` (a verified proof
-    that no admissible order exists, despite componentwise linear
-    quotients), budget-exceeded searches and budget-limited componentwise
-    checks are flagged ``inconclusive``.  The summary counts all cases.
+    Each such case is appended to the output file as one JSON line: an
+    exhausted search is flagged ``candidate-counterexample`` (a proof that
+    no admissible order exists, despite componentwise linear quotients),
+    a budget-exceeded search or componentwise check ``inconclusive``.  The
+    summary counts all cases.  A negative limit raises ValueError.
     """
+    if cfg.limit is not None and cfg.limit < 0:
+        raise ValueError(f"negative limit: {cfg.limit}")
     start = _load_checkpoint(cfg)
     summary = SearchSummary(symmetry_reduce=cfg.symmetry_reduce, stopped_at=start)
     space = enumerate(_iter_search_space(cfg))
-    stop = None if cfg.limit is None else start + max(cfg.limit, 0)
+    stop = None if cfg.limit is None else start + cfg.limit
     with open(cfg.out_path, "a", encoding="utf-8") as out:
         for index, ideal in itertools.islice(space, start, stop):
             if cfg.symmetry_reduce and not _is_orbit_representative(ideal):

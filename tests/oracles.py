@@ -262,3 +262,47 @@ def naive_search_extension(base, cands, budget):
         return "exhausted", None, nodes
     except OutOfBudget:
         return "budget-exceeded", None, nodes
+
+
+def naive_layered_search(gens, budget):
+    """Reference layered search: the generators of each degree, lowest
+    first and in the given order, searched by naive_search_extension after
+    all those of lower degree.  Every layer is charged to the one budget.
+    Returns (status, order, nodes) with the nodes of the layers searched.
+    """
+    gens = [tuple(g) for g in gens]
+    lower, order, nodes = [], (), 0
+    for d in sorted({sum(g) for g in gens}):
+        layer = [g for g in gens if sum(g) == d]
+        status, part, used = naive_search_extension(lower, layer, budget - nodes)
+        nodes += used
+        if status != "found":
+            return status, None, nodes
+        order += part
+        lower += layer
+    return "found", order, nodes
+
+
+def naive_colon_joined(gens, v):
+    """Is the generator v joined to the generators of lower degree by a
+    chain of single-variable colons?
+
+    From pairwise colons: a generator w of degree deg v is reached when
+    the colon u : w (naive_colon_gens) of some reached u is one variable.
+    The chain starts from every generator of lower degree, or from the
+    first generator of degree deg v when there is none.
+    """
+    gens = [tuple(g) for g in gens]
+    d = sum(v)
+    layer = [g for g in gens if sum(g) == d]
+    reached = [g for g in gens if sum(g) < d] or layer[:1]
+    grew = True
+    while grew:
+        grew = False
+        for w in layer:
+            if w not in reached and any(
+                sum(naive_colon_gens([u], w)[0]) == 1 for u in reached
+            ):
+                reached.append(w)
+                grew = True
+    return tuple(v) in reached

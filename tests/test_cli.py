@@ -143,14 +143,18 @@ def test_order_command(tmp_path, capsys):
 
 
 def test_order_exhausted_exit_code(tmp_path, capsys):
-    path = write_ideal(tmp_path, "i.txt", ideal(2, (3, 0), (0, 3)))
-    code = main(["order", "--input", path])
-    report = json.loads(capsys.readouterr().out)
-    assert code == EXIT_PREDICATE_FALSE
-    assert report["status"] == "exhausted"
-    # decided by the connectivity refuter: no exchange step joins the pair
-    assert report["nodes"] == 0
-    assert report["disconnected"] == [[3, 0], [0, 3]]
+    # decided by the connectivity refuter: no exchange step joins the pair.
+    # (x^2, y^3) is refuted on its degree-3 layer, which no colon of one
+    # variable joins to x^2
+    for gens, pair in ([(3, 0), (0, 3)], [[3, 0], [0, 3]]), (
+            [(2, 0), (0, 3)], [[2, 0], [0, 3]]):
+        path = write_ideal(tmp_path, "i.txt", ideal(2, *gens))
+        code = main(["order", "--input", path])
+        report = json.loads(capsys.readouterr().out)
+        assert code == EXIT_PREDICATE_FALSE
+        assert report["status"] == "exhausted"
+        assert report["nodes"] == 0
+        assert report["disconnected"] == pair
 
 
 def test_verify_order_command(tmp_path, capsys):
@@ -407,7 +411,7 @@ def test_search_checkpoint_resume_identical(tmp_path):
 
 
 # writes 6 records, at indices 16, 34, 124, 148, 166 and 180
-RANDOM_SEARCH = dict(exhaustive=False, nvars_hi=3, seed=5, count=200, budget=5)
+RANDOM_SEARCH = dict(exhaustive=False, nvars_hi=3, seed=5, count=200, budget=2)
 
 
 def test_search_random_mode_resume(tmp_path):
@@ -437,7 +441,9 @@ def test_search_config_digest_pinned(tmp_path):
     # a checkpoint names its configuration by this digest, so a change to
     # it would refuse every existing checkpoint; output path, checkpoint
     # path and limit do not enter it
-    cfg = search_config(tmp_path, **RANDOM_SEARCH)
+    cfg = search_config(
+        tmp_path, exhaustive=False, nvars_hi=3, seed=5, count=200, budget=5
+    )
     assert _config_digest(cfg) == "72b5ddedf40446f7"
     other = dataclasses.replace(
         cfg, nvars_hi=2, exhaustive=True, symmetry_reduce=True,
@@ -470,10 +476,10 @@ def test_golden_search_jsonl(tmp_path, capsys):
     out = tmp_path / "search.jsonl"
     code = main([
         "search", "--nvars", "2-3", "--max-exp", "3", "--max-gens", "3",
-        "--seed", "5", "--count", "200", "--budget", "5", "--out", str(out),
+        "--seed", "5", "--count", "200", "--budget", "2", "--out", str(out),
     ])
     assert code == EXIT_INCONCLUSIVE
-    assert json.loads(capsys.readouterr().out)["summary"]["cw_unknown"] == 1
+    assert json.loads(capsys.readouterr().out)["summary"]["cw_unknown"] == 2
     assert out.read_bytes() == (GOLDEN / "search.jsonl").read_bytes()
 
 
@@ -593,3 +599,11 @@ def test_search_cli_entry(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["summary"]["candidates"] == 0
     assert report["summary"]["complete"] is True
+    # a bad --nvars range and a negative --limit are usage errors that
+    # scan nothing
+    bad = tmp_path / "bad.jsonl"
+    for args in (["--nvars", "3-2"], ["--nvars", "2", "--limit", "-1"]):
+        code = main(["search", *args, "--max-exp", "2", "--max-gens", "2",
+                     "--exhaustive", "--out", str(bad)])
+        assert code == EXIT_ERROR and not bad.exists()
+    assert "negative limit: -1" in capsys.readouterr().err

@@ -26,10 +26,12 @@ from polyquot.families import iter_equigenerated_ideals, random_antichain
 from polyquot.quotients import _times_maximal_order
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
 from oracles import (
+    naive_colon_joined,
     naive_degree_slice,
     naive_exchange_connected,
     naive_exchange_part,
     naive_has_admissible_order,
+    naive_layered_search,
     naive_order_admissible,
     naive_search_extension,
 )
@@ -92,12 +94,16 @@ def test_find_zero_ideal_raises():
 
 
 def test_found_orders_verify():
+    # a found order places the generators layer by layer, degrees not
+    # decreasing
     rng = random.Random(47)
     for _ in range(100):
         I = random_ideal(rng, rng.randint(2, 3), 4, 5)
         out = find_admissible_order(I)
         if out.status == FOUND:
             assert is_admissible_order(GeneratorOrder(I, out.order))
+            degrees = [sum(g) for g in out.order]
+            assert degrees == sorted(degrees)
 
 
 def test_polymatroidal_ideals_are_found():
@@ -113,10 +119,15 @@ def test_polymatroidal_ideals_are_found():
 
 
 def test_search_agrees_with_factorial_oracle():
+    # a refuted outcome names (first generator of the lowest degree, v),
+    # with v not joined to the generators below its degree by colons that
+    # are one variable, as replayed from pairwise colons; (x^2, y^3) is
+    # refuted on its degree-3 layer
     rng = random.Random(59)
-    exhausted_seen = 0
-    for _ in range(120):
-        I = random_ideal(rng, rng.randint(2, 3), 4, 5)
+    ideals = [ideal(2, (2, 0), (0, 3))]
+    ideals += [random_ideal(rng, rng.randint(2, 3), 4, 5) for _ in range(120)]
+    exhausted_seen = refuted_above = 0
+    for I in ideals:
         if len(I.gens) > 6:
             continue
         out = find_admissible_order(I)
@@ -124,7 +135,13 @@ def test_search_agrees_with_factorial_oracle():
         assert (out.status == FOUND) == oracle
         if out.status == EXHAUSTED:
             exhausted_seen += 1
-    assert exhausted_seen > 5
+        if out.witness is not None:
+            u, v = out.witness
+            assert (out.status, out.nodes) == (EXHAUSTED, 0)
+            assert u == next(g for g in I.gens if sum(g) == I.mindeg)
+            assert v in I.gen_set and not naive_colon_joined(I.gens, v)
+            refuted_above += sum(v) > I.mindeg
+    assert exhausted_seen > 5 and refuted_above > 5
 
 
 def test_budget_semantics():
@@ -160,9 +177,10 @@ def pairwise_reference_corpus():
 
 def test_search_matches_pairwise_reference():
     # the bitset kernel against the pairwise reference: same verdict, same
-    # order and same node count, with and without a fixed prefix; an
-    # outcome the connectivity refuter decided is exhausted with 0 nodes,
-    # and the reference must not find an order
+    # order and same node count, layer by layer in find_admissible_order
+    # and after a fixed prefix in extends_by_linear_quotients; an outcome
+    # the connectivity refuter decided is exhausted with 0 nodes, and the
+    # reference must not find an order
     seen = set()
     for _, case in pairwise_reference_corpus():
         if case is None:
@@ -170,7 +188,7 @@ def test_search_matches_pairwise_reference():
         I, budget, inner = case
         cands = tuple(g for g in I.gens if g not in inner.gen_set)
         out = find_admissible_order(I, budget)
-        ref = naive_search_extension((), I.gens, budget)
+        ref = naive_layered_search(I.gens, budget)
         if out.witness is not None:
             assert (out.status, out.order, out.nodes) == (EXHAUSTED, None, 0)
             assert ref[0] != FOUND
@@ -254,12 +272,19 @@ def test_extends_trivial_and_zero():
     I = ideal(2, (2, 0), (1, 1))
     same = extends_by_linear_quotients(I, I)
     assert same.status == FOUND and same.order == ()
-    J = ideal(2, *SEVEN_GENS)
-    via_zero = extends_by_linear_quotients(zero_ideal(2), J)
-    direct = find_admissible_order(J)
+    # on an equigenerated ideal both run the same DFS, here with backtracking
+    E = ideal(3, (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2))
+    via_zero = extends_by_linear_quotients(zero_ideal(3), E)
+    direct = find_admissible_order(E)
     assert via_zero.status == direct.status == FOUND
     assert via_zero.order == direct.order
-    assert via_zero.nodes == direct.nodes
+    assert via_zero.nodes == direct.nodes == 7
+    # on several degrees find_admissible_order places them layer by layer
+    J = ideal(2, *SEVEN_GENS)
+    layered = find_admissible_order(J)
+    assert layered.order == ((5, 6), (9, 5), (10, 4), (13, 3), (14, 2),
+                             (4, 12), (3, 13))
+    assert layered.nodes == 9
 
 
 def test_extends_requires_subset():
