@@ -317,10 +317,11 @@ def graded_component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     found = set()
     for g in ideal.gens:
         dg = sum(g)
-        if dg > j:
-            continue
-        for t in compositions(j - dg, n):
-            found.add(monomial_mul(g, t))
+        if dg == j:  # its own only multiple of degree j
+            found.add(g)
+        elif dg < j:
+            for t in compositions(j - dg, n):
+                found.add(monomial_mul(g, t))
     return MonomialIdeal._equigenerated(n, found)
 
 

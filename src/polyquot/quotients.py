@@ -95,10 +95,12 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class ComponentwiseLQ:
-    """Tri-state componentwise verdict: True / False / None (budget ran out)."""
+    """Tri-state componentwise verdict: True / False / None (budget ran out);
+    when True, ``layered`` is the ideal's :func:`find_admissible_order`."""
 
     value: Optional[bool]
     outcomes: dict = field(compare=False)
+    layered: Optional[SearchOutcome] = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.value is True
@@ -367,25 +369,39 @@ def extends_by_linear_quotients(
     return SearchOutcome(status, order, nodes)
 
 
+def _replay_layers(layers, budget: int) -> SearchOutcome:
+    """One shared budget's outcome, from each layer's search with all of it."""
+    order, nodes = (), 0
+    for status, used, part in layers:
+        if used > budget - nodes:
+            return SearchOutcome(BUDGET_EXCEEDED, None, budget + 1)
+        nodes += used
+        if status != FOUND:
+            return SearchOutcome(status, None, nodes)
+        order += part
+    return SearchOutcome(FOUND, order, nodes)
+
+
 def _decide_stepped(lower: tuple, base: tuple, new: tuple, nvars: int, budget: int):
-    """(outcome, component) for I_<j> = m * I_<j-1> + (new), where ``lower``
-    is G(I)_<j, ``base`` an admissible order of m * I_<j-1> and ``new`` the
-    generators of I of degree j; the component is built only when it is
-    searched whole.  The four steps and their proofs are in
-    :func:`has_componentwise_linear_quotients`.
+    """(outcome, component, layer) for I_<j> = m * I_<j-1> + (new), with
+    ``lower`` G(I)_<j, ``base`` an admissible order of m * I_<j-1>, ``new``
+    the generators of I of degree j and layer their search's (status,
+    nodes, part); the component is built only when it is searched whole.
+    The four steps and their proofs are in :func:`has_componentwise_linear_quotients`.
     """
     if not new:
-        return SearchOutcome(FOUND, base, 0), None
+        return SearchOutcome(FOUND, base, 0), None, (FOUND, 0, ())
     status, order, nodes, v = _decide_layer(lower, new, budget)
     if v is not None:
-        return SearchOutcome(EXHAUSTED, None, 0, (base[0], v)), None
+        return SearchOutcome(EXHAUSTED, None, 0, (base[0], v)), None, None
+    layer = (status, nodes, order)
     if status == FOUND:
-        return SearchOutcome(FOUND, base + order, nodes), None
+        return SearchOutcome(FOUND, base + order, nodes), None, layer
     comp = MonomialIdeal._equigenerated(nvars, base + new)
     whole = find_admissible_order(comp, budget)
     return SearchOutcome(
         whole.status, whole.order, nodes + whole.nodes, whole.witness
-    ), comp
+    ), comp, layer
 
 
 def has_componentwise_linear_quotients(
@@ -445,17 +461,22 @@ def has_componentwise_linear_quotients(
     has an admissible order, so against a search of every component a
     verdict can only move from None to True.
 
-    The layered order.  A colon depends only on the set placed, so when
-    every degree with new generators was decided by an extension, the
-    order of the lowest component followed by the extension part of each
-    degree's order, degree by degree, is an admissible order of I itself.
+    The replay.  With the verdict True the sweep ran every search of
+    ``find_admissible_order(I, budget)``: the lowest component's, then
+    step 3's of each N after G(I)_<j> (no refuter fired).  Only the
+    budget differs: the sweep gives each layer all of it, that search
+    what the layers below left.  A DFS given b' nodes takes the steps it
+    takes with more until its nodes exceed b', so a layer that took k
+    nodes takes k again if k <= b' and otherwise runs out (budget + 1
+    nodes in all).  So :func:`_replay_layers` of the layers' (status,
+    nodes, part), lowest first, is that search's outcome: ``layered``.
     """
     if ideal.is_zero:
         raise ZeroIdealError("predicate undefined on the zero ideal")
     n = ideal.nvars
     new_gens = _layers(ideal.gens)
     outcomes: dict[int, SearchOutcome] = {}
-    saw_budget = False
+    saw_budget, layers = False, []
     res = comp = None
     lower: tuple = ()
     for j in range(ideal.mindeg, ideal.maxdeg + 1):
@@ -463,11 +484,13 @@ def has_componentwise_linear_quotients(
         if res is None:
             comp = graded_component(ideal, j)
             res = find_admissible_order(comp, budget)
+            layers.append((res.status, res.nodes, res.order))
         else:
             guard_degree(j)
             if res.status == FOUND:
                 base = _times_maximal_order(res.order, n)
-                res, comp = _decide_stepped(lower, base, new, n, budget)
+                res, comp, layer = _decide_stepped(lower, base, new, n, budget)
+                layers.append(layer)
             else:
                 comp = MonomialIdeal._equigenerated(
                     n, _times_maximal_order(comp.gens, n) + new
@@ -479,4 +502,5 @@ def has_componentwise_linear_quotients(
             return ComponentwiseLQ(False, outcomes)
         if res.status == BUDGET_EXCEEDED:
             saw_budget = True
-    return ComponentwiseLQ(None if saw_budget else True, outcomes)
+    layered = None if saw_budget else _replay_layers(layers, budget)
+    return ComponentwiseLQ(None if saw_budget else True, outcomes, layered)

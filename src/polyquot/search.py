@@ -3,10 +3,10 @@ quotients?
 
 :func:`question1_search` scans a box of ideals (every antichain of an
 exponent box, or seeded random draws) and writes one JSON line per ideal
-whose components all have linear quotients but whose layered search for
-an admissible order did not find one.  Records carry no timing data, so
-identical configurations write identical bytes, and a run resumes from
-its checkpoint without writing a record twice.
+whose components all have linear quotients but whose layered search,
+replayed from the same componentwise sweep, found no admissible order.
+Records carry no timing data, so identical configurations write identical
+bytes, and a run resumes from its checkpoint without writing a record twice.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from typing import Optional
 
 from .families import iter_antichains, random_antichain
 from .ideal import MonomialIdeal
-from .quotients import (
-    EXHAUSTED,
-    FOUND,
-    find_admissible_order,
-    has_componentwise_linear_quotients,
-)
+from .quotients import EXHAUSTED, FOUND, has_componentwise_linear_quotients
 
 SCHEMA = 1
 
@@ -163,7 +158,7 @@ def _scan(ideal: MonomialIdeal, budget: int, summary: SearchSummary):
         nodes = sum(o.nodes for o in cw.outcomes.values())
         return "inconclusive", "componentwise-unknown", nodes
     summary.cw_true += 1
-    res = find_admissible_order(ideal, budget)
+    res = cw.layered
     if res.status == FOUND:
         summary.found += 1
         return None
@@ -175,8 +170,8 @@ def _scan(ideal: MonomialIdeal, budget: int, summary: SearchSummary):
 
 
 def question1_search(cfg: SearchConfig) -> SearchSummary:
-    """Scan ideals with componentwise linear quotients for ones where
-    :func:`find_admissible_order`, layer by layer, finds no order.
+    """Scan ideals with componentwise linear quotients for ones where the
+    layered search (``ComponentwiseLQ.layered``) finds no order.
 
     Each such case is appended to the output file as one JSON line: an
     exhausted search is flagged ``candidate-counterexample`` (a proof that

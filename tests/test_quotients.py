@@ -8,9 +8,11 @@ import pytest
 
 from polyquot import (
     BUDGET_EXCEEDED,
+    DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
     GeneratorOrder,
+    SearchOutcome,
     ZeroIdealError,
     extends_by_linear_quotients,
     find_admissible_order,
@@ -23,7 +25,7 @@ from polyquot import (
     zero_ideal,
 )
 from polyquot.families import iter_equigenerated_ideals, random_antichain
-from polyquot.quotients import _times_maximal_order
+from polyquot.quotients import _replay_layers, _times_maximal_order
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
 from oracles import (
     naive_colon_joined,
@@ -477,6 +479,66 @@ def test_componentwise_sweep_yields_layered_order():
             assert naive_order_admissible(order)
             layered += len({sum(g) for g in I.gens}) > 1
     assert layered > 150
+
+
+def test_layered_replay_matches_global_search():
+    # the sweep's replayed layers against the global search and the
+    # pairwise reference, on the corpus at its budgets and on seeded draws
+    # at small budgets, where the layers' shared budget runs out
+    rng = random.Random(43)
+    cases = componentwise_corpus() + [
+        (random_antichain(rng, rng.randint(2, 4), 3, 5), budget)
+        for budget in (1, 2, 3, 5, 50, DEFAULT_BUDGET)
+        for _ in range(150)
+    ]
+    seen = {}
+    for I, budget in cases:
+        cw = has_componentwise_linear_quotients(I, budget)
+        if cw.value is not True:
+            assert cw.layered is None
+            continue
+        out = cw.layered
+        assert out == find_admissible_order(I, budget)
+        assert (out.status, out.order, out.nodes) == naive_layered_search(
+            I.gens, budget)
+        if out.status == FOUND:
+            assert sorted(out.order) == sorted(I.gens)
+            assert naive_order_admissible(out.order)
+        seen[out.status] = seen.get(out.status, 0) + 1
+    assert seen[FOUND] > 500 and seen[BUDGET_EXCEEDED] > 20
+    assert EXHAUSTED not in seen  # that would answer the open question
+
+
+def test_layered_replay_runs_out_after_found_components():
+    # (x^2, xy, y^3): at budget 2 both components are found (2 nodes, then
+    # 1 for y^3 after x^2, xy), but one budget for both layers runs out
+    I = ideal(2, (2, 0), (1, 1), (0, 3))
+    cw = has_componentwise_linear_quotients(I, 2)
+    assert cw.value is True
+    assert [(o.status, o.nodes) for o in cw.outcomes.values()] == [
+        (FOUND, 2), (FOUND, 1)]
+    assert cw.layered == find_admissible_order(I, 2) == SearchOutcome(
+        BUDGET_EXCEEDED, None, 3)
+    cw = has_componentwise_linear_quotients(I, 3)
+    assert cw.layered == find_admissible_order(I, 3)
+    assert (cw.layered.status, cw.layered.nodes) == (FOUND, 3)
+
+
+def test_replay_layers_on_hand_made_layers():
+    # the exhausted branches are not reached from a componentwise-true
+    # ideal (it would answer the open question), so they are pinned here
+    a, b, c = (2, 0), (1, 1), (0, 2)
+    found = [(FOUND, 2, (a, b)), (FOUND, 0, ()), (FOUND, 3, (c,))]
+    assert _replay_layers(found, 5) == SearchOutcome(FOUND, (a, b, c), 5)
+    assert _replay_layers(found, 4) == SearchOutcome(BUDGET_EXCEEDED, None, 5)
+    dead = [(FOUND, 2, (a, b)), (EXHAUSTED, 3, None), (FOUND, 1, (c,))]
+    assert _replay_layers(dead, 10) == SearchOutcome(EXHAUSTED, None, 5)
+    assert _replay_layers(dead, 5) == SearchOutcome(EXHAUSTED, None, 5)
+    assert _replay_layers(dead, 4) == SearchOutcome(BUDGET_EXCEEDED, None, 5)
+    assert _replay_layers([(EXHAUSTED, 0, None)], 0) == SearchOutcome(
+        EXHAUSTED, None, 0)
+    over = [(FOUND, 1, (a,)), (BUDGET_EXCEEDED, 11, None)]
+    assert _replay_layers(over, 10) == SearchOutcome(BUDGET_EXCEEDED, None, 11)
 
 
 def test_componentwise_outcomes_pinned():
