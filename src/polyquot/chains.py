@@ -21,10 +21,9 @@ from typing import Sequence, Tuple
 from .ideal import (
     MonomialIdeal,
     Monomial,
+    _times_maximal_order,
     graded_components,
-    maximal_ideal,
     monomial_mul,
-    product,
     translate,
     variable,
     veronese,
@@ -32,6 +31,7 @@ from .ideal import (
 from .exchange import (
     ExchangeWitness,
     NotPolymatroidalError,
+    _box,
     _one_degree_failure,
     _require_nonzero,
     satisfies_strong_exchange,
@@ -184,11 +184,8 @@ def sep_factorization(ideal: MonomialIdeal):
 
 def _factor(ideal: MonomialIdeal):
     """sep_factorization without the strong-exchange check."""
-    n = ideal.nvars
-    gens = ideal.gens
-    u = tuple(min(g[i] for g in gens) for i in range(n))
-    caps = tuple(max(g[i] - u[i] for g in gens) for i in range(n))
-    spec = VeroneseSpec(n, sum(gens[0]) - sum(u), caps)
+    u, caps, d = _box(ideal.gens)
+    spec = VeroneseSpec(ideal.nvars, d, caps)
     if translate(spec.ideal(), u) != ideal:
         raise ReconstructionError(
             f"monomial {u} times capped ideal {spec} does not rebuild the "
@@ -271,13 +268,14 @@ def chain_absorb_maximal_ideal(spec: VeroneseSpec) -> ExtensionChain:
     """Chain from (x_1, ..., x_n) * I_(d; a) to I_(d+1; a + 1).
 
     The start ideal's generators are the degree-(d+1) monomials exceeding
-    at most one cap by one.  The remaining target generators are appended
-    in the cap-raising sweep order (highest over-cap variable first, then
-    descending lex), which restricts the absorb-one-variable chain
-    followed by cap raises to the missing part.
+    at most one cap by one, built as {x_r * g} without minimalizing (all
+    have degree d+1, so none divides another).  The remaining target
+    generators are appended in the cap-raising sweep order (highest
+    over-cap variable first, then descending lex), which restricts the
+    absorb-one-variable chain followed by cap raises to the missing part.
     """
     n = spec.nvars
-    start = product(maximal_ideal(n), spec.ideal())
+    start = MonomialIdeal._equigenerated(n, _times_maximal_order(spec.ideal().gens, n))
     end = VeroneseSpec(n, spec.degree + 1, tuple(c + 1 for c in spec.caps)).ideal()
     caps = spec.caps
     fresh = [g for g in end.gens if g not in start.gen_set]
@@ -314,8 +312,7 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     for j, comp in graded_components(ideal):
         comps[j] = comp
         # strong exchange within one degree implies the exchange property,
-        # so the strong sweep alone decides each component, as in
-        # is_componentwise_sep
+        # so the strong test alone decides each component
         failure = _one_degree_failure(comp, True)
         if failure is not None:
             raise NotComponentwiseSEPError(j, ExchangeWitness(*failure))

@@ -197,6 +197,23 @@ def test_absorb_maximal_ideal_box():
         assert ch.end == veronese(n, d + 1, tuple(c + 1 for c in spec.caps))
 
 
+def test_absorb_maximal_ideal_start_is_the_product():
+    # the start ideal is built as {x_r * g} without minimalizing; every
+    # product has degree d + 1, so it is m * I_(d; a) itself
+    count = 0
+    for n in range(1, 5):
+        for d in range(5):
+            for caps in itertools.product(range(d + 1), repeat=n):
+                if sum(caps) < d:
+                    continue
+                spec = VeroneseSpec(n, d, caps)
+                start = chain_absorb_maximal_ideal(spec).start
+                expected = product(maximal_ideal(n), spec.ideal())
+                assert start == expected and start.gens == expected.gens
+                count += 1
+    assert count == 1153
+
+
 def test_absorb_maximal_ideal_fallback_search_agrees():
     # the general search (extends_by_linear_quotients) also finds a valid
     # extension order for the maximal-ideal step the sweep order provides

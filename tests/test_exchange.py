@@ -9,6 +9,7 @@ import pytest
 from polyquot import (
     DualExchangeViolationError,
     ExchangeWitness,
+    MonomialIdeal,
     NotEquigeneratedError,
     NotPolymatroidalError,
     ZeroIdealError,
@@ -28,10 +29,15 @@ from polyquot import (
     veronese,
     zero_ideal,
 )
-from polyquot.exchange import _componentwise_verdicts
+from polyquot import exchange
+from polyquot.exchange import _box_count, _componentwise_verdicts, _one_degree_failure
 from polyquot.families import iter_equigenerated_ideals, random_componentwise_sep
 from conftest import ideal, DUAL_ONLY, NONPURE_ONLY, SQUARE_REGRESSION
-from oracles import naive_dual_exchange, naive_exchange_witness
+from oracles import (
+    count_bounded_compositions,
+    naive_dual_exchange,
+    naive_exchange_witness,
+)
 
 
 def replay_witness(I, w, mode):
@@ -299,6 +305,78 @@ def test_square_of_regression_ideal_fails():
     I = ideal(3, *SQUARE_REGRESSION)
     sq = product(I, I)
     assert not is_componentwise_polymatroidal(sq)
+
+
+def test_box_count_matches_inclusion_exclusion():
+    # totals above the sum of the caps count 0
+    for n in range(1, 5):
+        for caps in itertools.product(range(5), repeat=n):
+            for total in range(13):
+                expected = count_bounded_compositions(total, caps)
+                assert _box_count(total, caps) == expected
+
+
+def _random_equigenerated(rng):
+    """A degree <= 4 ideal in 2-4 variables with at most 12 generators: a
+    random subset of the degree slice, a box of the slice (half the time
+    with one monomial dropped or added), or a transversal product of
+    prime ideals (polymatroidal, often without strong exchange)."""
+    n, d = rng.randint(2, 4), rng.randint(0, 4)
+    pool = sorted(t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d)
+    mode = rng.randrange(3)
+    if mode == 0:
+        gens = set(rng.sample(pool, rng.randint(1, min(12, len(pool)))))
+    elif mode == 1:
+        lo = tuple(rng.randint(0, 2) for _ in range(n))
+        hi = tuple(e + rng.randint(0, 2) for e in lo)
+        gens = {t for t in pool if all(a <= e <= b for a, e, b in zip(lo, t, hi))}
+        gens = gens or {rng.choice(pool)}
+        tweak = rng.random()
+        if tweak < 0.25 and len(gens) > 1:
+            gens.discard(rng.choice(sorted(gens)))
+        elif tweak < 0.5:
+            gens.add(rng.choice(pool))
+    else:
+        gens = {(0,) * n}
+        for _ in range(d):
+            support = rng.sample(range(n), rng.randint(1, n))
+            gens = {g[:k] + (g[k] + 1,) + g[k + 1:] for g in gens for k in support}
+    return MonomialIdeal._equigenerated(n, sorted(gens)[:12])
+
+
+def test_strong_exchange_box_rule_matches_naive_oracle():
+    # the filled-box shortcut plus the pair sweep give the oracle's verdict
+    # and first witness on random ideals and on their next components
+    rng = random.Random(14)
+    seen = {"strong": 0, "polymatroidal only": 0, "not polymatroidal": 0}
+    for _ in range(1500):
+        I = _random_equigenerated(rng)
+        for J in (I, graded_component(I, I.mindeg + 1)):
+            expected = naive_exchange_witness(J, "strong")
+            assert _one_degree_failure(J, True) == expected
+            if naive_exchange_witness(J, "exchange") is not None:
+                seen["not polymatroidal"] += 1
+                with pytest.raises(NotPolymatroidalError):
+                    satisfies_strong_exchange(J)
+                continue
+            res = satisfies_strong_exchange(J)
+            assert res.ok == (expected is None)
+            if expected is None:
+                seen["strong"] += 1
+            else:
+                seen["polymatroidal only"] += 1
+                assert res.witness == ExchangeWitness(*expected)
+    assert min(seen.values()) > 100, seen
+
+
+def test_strong_exchange_contradiction_guard(monkeypatch):
+    # a capped ideal passes the sweep, so a box count that misses it must
+    # raise rather than report a failure the sweep did not find
+    real = exchange._box_count
+    monkeypatch.setattr(exchange, "_box_count", lambda t, caps: real(t, caps) - 1)
+    for I in (veronese(3, 4, (2, 3, 1)), ideal(2, (1, 2))):
+        with pytest.raises(RuntimeError, match="Herzog-Hibi"):
+            satisfies_strong_exchange(I)
 
 
 def test_generalized_exchange_on_ideal_members():
