@@ -18,10 +18,9 @@ from .ideal import (
     MonomialIdeal,
     Monomial,
     ZeroIdealError,
-    colon_by_monomial,
     deflate,
 )
-from .quotients import GeneratorOrder, is_admissible_order
+from .quotients import GeneratorOrder, _colon_steps
 
 NOT_TIGHT = "not-tight"
 X_TIGHT = "x-tight"
@@ -183,7 +182,8 @@ def valley_order(ideal: MonomialIdeal, valley: Optional[int] = None) -> Generato
     Starting from the valley generator u_j the order runs out to the
     y-end, u_j, ..., u_m, then walks the head back, u_{j-1}, ..., u_0.
     Along the tail every colon is exactly (x); along the head it is
-    exactly (y).  Both facts and overall admissibility are asserted.
+    exactly (y).  Both facts, and so admissibility, are checked: a colon
+    that is not the theorem's raises ``RuntimeError``.
 
     ``valley`` overrides the turning index and must be one of the valid
     valleys reported by :func:`cwp_structural`.
@@ -200,15 +200,14 @@ def valley_order(ideal: MonomialIdeal, valley: Optional[int] = None) -> Generato
     gens = lex_order(ideal)
     m = len(gens) - 1
     seq = list(gens[valley:]) + list(gens[valley - 1 :: -1] if valley else [])
-    order = GeneratorOrder(ideal, tuple(seq))
-    # the theorem's exact colons: (x) along the tail, (y) along the head
-    x_var, y_var = (1, 0), (0, 1)
+    # the theorem's exact colons: (x) along the tail, (y) along the head;
+    # the walk stops at a colon not generated by variables
+    colons = _colon_steps((), seq)[0]
     for t in range(1, m + 1):
-        prefix = MonomialIdeal(2, seq[:t], _trusted=True)
-        col = colon_by_monomial(prefix, seq[t])
-        expected = x_var if t <= m - valley else y_var
-        assert col.gens == (expected,), (
-            f"colon at position {t} is {col.gens}, expected ({expected},)"
-        )
-    assert is_admissible_order(order)
-    return order
+        expected = (0,) if t <= m - valley else (1,)
+        if t == len(colons) or colons[t] != expected:
+            raise RuntimeError(
+                f"{ideal!r}: colon at position {t} of the valley-{valley} "
+                f"order is not ({'xy'[expected[0]]})"
+            )
+    return GeneratorOrder(ideal, tuple(seq))

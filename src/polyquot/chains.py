@@ -9,8 +9,12 @@ accumulated set is variable-generated.  Chaining those steps degree by
 degree produces a verified admissible order for any componentwise
 polymatroidal ideal with the strong exchange property.
 
-Every chain constructed here is verified step by step before it is
-returned; a verification failure raises instead of returning a bad chain.
+Each constructor builds a capped ideal once: :func:`chain_absorb_variable`
+and :func:`chain_raise_caps` build only their end ideal and read the start
+off it, and :func:`chain_absorb_monomial` shifts only the appended part of
+its steps.  Every chain constructed here is verified step by step before
+it is returned; a verification failure raises instead of returning a bad
+chain.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .ideal import (
     graded_components,
     monomial_mul,
     translate,
-    variable,
     veronese,
 )
 from .exchange import (
@@ -36,7 +39,7 @@ from .exchange import (
     _require_nonzero,
     satisfies_strong_exchange,
 )
-from .quotients import GeneratorOrder, _first_bad_step, is_admissible_order
+from .quotients import GeneratorOrder, _colon_steps, is_admissible_order
 
 
 class ChainVerificationError(RuntimeError):
@@ -101,11 +104,6 @@ class VeroneseSpec:
         caps[i] += 1
         return VeroneseSpec(self.nvars, self.degree + 1, tuple(caps))
 
-    def raise_cap(self, i: int) -> "VeroneseSpec":
-        caps = list(self.caps)
-        caps[i] += 1
-        return VeroneseSpec(self.nvars, self.degree, tuple(caps))
-
 
 @dataclass(frozen=True)
 class ExtensionChain:
@@ -130,7 +128,7 @@ def verify_chain(start: MonomialIdeal, end: MonomialIdeal,
         raise ChainVerificationError(
             "appended sequence does not cover G(end) minus G(start)"
         )
-    bad = _first_bad_step(start.gens, appended)
+    bad = _colon_steps(start.gens, appended)[1]
     if bad is not None:
         raise ChainVerificationError(
             f"colon at appended position {bad} ({appended[bad]}) is not "
@@ -151,7 +149,7 @@ def translate_chain(chain: ExtensionChain, u: Monomial) -> ExtensionChain:
     return ExtensionChain(
         translate(chain.start, u),
         translate(chain.end, u),
-        tuple(monomial_mul(u, g) for g in chain.appended),
+        tuple([monomial_mul(u, g) for g in chain.appended]),
     )
 
 
@@ -198,27 +196,30 @@ def _factor(ideal: MonomialIdeal):
 # chain constructors
 
 
-def _lex_desc_with_greatest(gens, i: int):
-    """Sort descending in the lexicographic order that ranks x_i first."""
-    return sorted(gens, key=lambda g: (g[i],) + g[:i] + g[i + 1 :], reverse=True)
+def _raise_key(caps: Sequence[int]):
+    """Sort key of the sweep raising ``caps`` one unit at a time in variable
+    order: g joins when the cap of its highest variable over ``caps``
+    reaches its exponent there, descending lex within one step."""
+    def key(g):
+        over = max([i for i, (e, c) in enumerate(zip(g, caps)) if e > c])
+        return (over, g[over], tuple([-e for e in g]))
+
+    return key
 
 
 def chain_absorb_variable(spec: VeroneseSpec, i: int) -> ExtensionChain:
     """Chain from x_i * I_(d; a) to I_(d+1; a with cap i raised).
 
     The target has linear quotients in the lexicographic order that ranks
-    x_i first, and the generators divisible by x_i (exactly the start
-    ideal's generators) form its initial segment, so the appended part is
-    the x_i-free generators of the target in that order.
+    x_i first.  Its generators divisible by x_i are exactly x_i * I_(d; a)
+    and form the initial segment, so the appended part is the x_i-free
+    generators of the target, which that order lists as descending lex.
     """
     if not 0 <= i < spec.nvars:
         raise ValueError(f"variable index {i} out of range")
-    start = translate(spec.ideal(), variable(spec.nvars, i))
     end = spec.bump(i).ideal()
-    appended = _lex_desc_with_greatest(
-        (g for g in end.gens if g[i] == 0), i
-    )
-    return _verified(start, end, appended)
+    start = MonomialIdeal._presorted(spec.nvars, tuple([g for g in end.gens if g[i]]))
+    return _verified(start, end, [g for g in end.gens if not g[i]])
 
 
 def chain_absorb_monomial(spec: VeroneseSpec, c: Sequence[int]) -> ExtensionChain:
@@ -231,15 +232,20 @@ def chain_absorb_monomial(spec: VeroneseSpec, c: Sequence[int]) -> ExtensionChai
         raise ValueError("increments must be nonnegative")
     shift = list(c)
     cur = spec
-    start = translate(spec.ideal(), c)
+    start = end = None
     appended: list = []
     for i in range(spec.nvars):
         for _ in range(c[i]):
             shift[i] -= 1
-            step = translate_chain(chain_absorb_variable(cur, i), tuple(shift))
-            appended.extend(step.appended)
+            step = chain_absorb_variable(cur, i)
+            if start is None:  # x^c * I_(d; a), from x_i * I_(d; a)
+                start = translate(step.start, shift)
+            appended.extend([monomial_mul(shift, g) for g in step.appended])
+            end = step.end
             cur = cur.bump(i)
-    return _verified(start, cur.ideal(), appended)
+    if start is None:
+        start = end = spec.ideal()
+    return _verified(start, end, appended)
 
 
 def chain_raise_caps(src: VeroneseSpec, dst: VeroneseSpec) -> ExtensionChain:
@@ -247,21 +253,20 @@ def chain_raise_caps(src: VeroneseSpec, dst: VeroneseSpec) -> ExtensionChain:
 
     Caps are raised one unit at a time in variable order; each unit step
     appends the generators that use the new cap, in descending
-    lexicographic order, after everything already present.
+    lexicographic order, after everything already present.  Only I_(d; b)
+    is built; I_(d; a) is its members within the caps a.
     """
     if src.nvars != dst.nvars or src.degree != dst.degree:
         raise ValueError("specs must share the variable count and degree")
     if any(a > b for a, b in zip(src.caps, dst.caps)):
         raise ValueError(f"caps {src.caps} not dominated by {dst.caps}")
-    cur = src
-    appended: list = []
-    for i in range(src.nvars):
-        while cur.caps[i] < dst.caps[i]:
-            nxt = cur.raise_cap(i)
-            fresh = [g for g in nxt.ideal().gens if g[i] == nxt.caps[i]]
-            appended.extend(sorted(fresh, reverse=True))
-            cur = nxt
-    return _verified(src.ideal(), cur.ideal(), appended)
+    end = dst.ideal()
+    caps = src.caps
+    inside, fresh = [], []
+    for g in end.gens:
+        (fresh if any([e > c for e, c in zip(g, caps)]) else inside).append(g)
+    start = MonomialIdeal._presorted(src.nvars, tuple(inside))
+    return _verified(start, end, sorted(fresh, key=_raise_key(caps)))
 
 
 def chain_absorb_maximal_ideal(spec: VeroneseSpec) -> ExtensionChain:
@@ -277,14 +282,8 @@ def chain_absorb_maximal_ideal(spec: VeroneseSpec) -> ExtensionChain:
     n = spec.nvars
     start = MonomialIdeal._equigenerated(n, _times_maximal_order(spec.ideal().gens, n))
     end = VeroneseSpec(n, spec.degree + 1, tuple(c + 1 for c in spec.caps)).ideal()
-    caps = spec.caps
     fresh = [g for g in end.gens if g not in start.gen_set]
-
-    def sweep_key(g):
-        over = max(i for i in range(n) if g[i] > caps[i])
-        return (over, tuple(-e for e in g))
-
-    return _verified(start, end, sorted(fresh, key=sweep_key))
+    return _verified(start, end, sorted(fresh, key=_raise_key(spec.caps)))
 
 
 # ---------------------------------------------------------------------------

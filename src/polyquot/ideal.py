@@ -48,7 +48,7 @@ def divides(u: Monomial, v: Monomial) -> bool:
 
 
 def monomial_mul(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple([a + b for a, b in zip(u, v)])
 
 
 def monomial_colon(g: Monomial, u: Monomial) -> Monomial:
@@ -60,7 +60,7 @@ def monomial_div(u: Monomial, v: Monomial) -> Monomial:
     """Exact quotient u / v; raises if v does not divide u."""
     if not divides(v, u):
         raise ValueError(f"{v} does not divide {u}")
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple([a - b for a, b in zip(u, v)])
 
 
 def unit_monomial(nvars: int) -> Monomial:
@@ -160,9 +160,20 @@ class MonomialIdeal:
     # construction shortcuts -------------------------------------------------
 
     @classmethod
+    def _presorted(cls, nvars: int, gens: tuple, gen_set=None) -> "MonomialIdeal":
+        # an antichain already in canonical order, stored as given
+        self = cls.__new__(cls)
+        self.nvars = nvars
+        self.gens = gens
+        self.gen_set = frozenset(gens) if gen_set is None else gen_set
+        return self
+
+    @classmethod
     def _equigenerated(cls, nvars: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
-        # generators of one common degree form an antichain automatically
-        return cls(nvars, frozenset(gens), _trusted=True)
+        # generators of one common degree form an antichain automatically,
+        # and their canonical order is descending lex
+        seen = frozenset(gens)
+        return cls._presorted(nvars, tuple(sorted(seen, reverse=True)), seen)
 
     # basic queries ----------------------------------------------------------
 
@@ -282,23 +293,18 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def translate(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """The ideal u * I.  Shifting preserves minimality of the generators."""
+    """The ideal u * I.  Shifting preserves minimality of the generators
+    and their canonical order: it keeps degree order and lex order."""
     u = _validate_monomial(ideal.nvars, u)
-    return MonomialIdeal(
-        ideal.nvars,
-        frozenset(monomial_mul(u, g) for g in ideal.gens),
-        _trusted=True,
-    )
+    gens = [monomial_mul(u, g) for g in ideal.gens]
+    return MonomialIdeal._presorted(ideal.nvars, tuple(gens))
 
 
 def deflate(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The ideal I / u, defined when u divides every generator."""
     u = _validate_monomial(ideal.nvars, u)
-    return MonomialIdeal(
-        ideal.nvars,
-        frozenset(monomial_div(g, u) for g in ideal.gens),
-        _trusted=True,
-    )
+    gens = [monomial_div(g, u) for g in ideal.gens]
+    return MonomialIdeal._presorted(ideal.nvars, tuple(gens))
 
 
 def graded_component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
@@ -385,8 +391,9 @@ def veronese(nvars: int, d: int, caps: Sequence[int]) -> MonomialIdeal:
         raise ValueError(f"expected {nvars} caps, got {len(caps)}")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be nonnegative")
-    gens = frozenset(bounded_compositions(d, tuple(min(c, d) for c in caps)))
-    return MonomialIdeal._equigenerated(nvars, gens)
+    # descending lex, the canonical order within one degree
+    gens = [*bounded_compositions(d, tuple([min(c, d) for c in caps]))]
+    return MonomialIdeal._presorted(nvars, tuple(gens))
 
 
 def maximal_ideal(nvars: int) -> MonomialIdeal:

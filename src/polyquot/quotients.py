@@ -3,12 +3,15 @@
 An ordering u_1, ..., u_m of the minimal generators is admissible when each
 colon ideal (u_1, ..., u_{i-1}) : u_i is generated by variables.  For an
 antichain that holds iff for every k < i some l < i has u_l : u_i equal to
-a single variable dividing u_k : u_i, which is what the incremental check
-below computes.  The search tests the same condition on bitsets over the
-generators: for each candidate and variable x_r it precomputes which
-generators have a colon against the candidate involving x_r and which
-have a colon exactly x_r, so one step check costs O(n) big-int operations
-however many generators are already placed.
+a single variable dividing u_k : u_i.  Verification and search share one
+test of that step, on bitsets over the generators: for each candidate and
+variable x_r, ``_colon_bits`` precomputes which generators have a colon
+against the candidate involving x_r and which have a colon exactly x_r,
+so one step check costs O(n) big-int operations however many generators
+are already placed.  :func:`is_admissible_order`,
+:func:`order_colon_variables` and the chain checks walk an order with it
+(``_colon_steps``); the search tries candidates with it
+(``_search_extension``).
 
 Search nodes count attempted placements.  Whether a generator may extend a
 partial order depends only on the *set* already placed, so failed prefix
@@ -34,7 +37,6 @@ from .ideal import (
     _times_maximal_order,
     graded_component,
     guard_degree,
-    monomial_colon,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -110,36 +112,31 @@ class ComponentwiseLQ:
 # verification
 
 
-def _colon_variables(acc: Sequence[Monomial], v: Monomial) -> Optional[set]:
-    """The variables generating (acc) : v, or None if it is not variable-generated.
+def _colon_steps(base: Sequence[Monomial], appended: Sequence[Monomial]):
+    """(variables, bad) for the members of ``appended`` placed in turn
+    after ``base``, all in one antichain: the search's step test on
+    ``_colon_bits(base + appended, len(base))``.
 
-    acc and v must live in a common antichain, so no colon generator is 1.
-    An empty acc gives the empty set (the zero colon ideal).
+    variables[i] lists the 0-based r whose x_r generate the colon of
+    appended[i] against everything placed before it (empty with nothing
+    placed); bad is the index of the first step that fails, where the
+    walk stops, or None.
     """
-    colon_vecs = []
-    var_positions = set()
-    for g in acc:
-        c = monomial_colon(g, v)
-        s = sum(c)
-        if s == 0:
-            return None  # g divides v: the colon is the unit ideal
-        colon_vecs.append(c)
-        if s == 1:
-            var_positions.add(c.index(1))
-    for c in colon_vecs:
-        if not any(c[r] for r in var_positions):
-            return None
-    return var_positions
-
-
-def _first_bad_step(base: Sequence[Monomial], appended: Sequence[Monomial]):
-    """Index into `appended` of the first failing colon, or None."""
-    acc = list(base)
-    for idx, v in enumerate(appended):
-        if acc and _colon_variables(acc, v) is None:
-            return idx
-        acc.append(v)
-    return None
+    nb = len(base)
+    placed = (1 << nb) - 1
+    variables = []
+    for i, row in enumerate(_colon_bits(tuple(base) + tuple(appended), nb)):
+        cover = 0
+        rs = []
+        for r, (w, k) in enumerate(row):
+            if placed & w:
+                cover |= k
+                rs.append(r)
+        if placed & ~cover:
+            return variables, i
+        variables.append(tuple(rs))
+        placed |= 1 << (nb + i)
+    return variables, None
 
 
 def is_admissible_order(order: GeneratorOrder) -> AdmissibilityCheck:
@@ -148,7 +145,7 @@ def is_admissible_order(order: GeneratorOrder) -> AdmissibilityCheck:
     On failure, ``fail_index`` is the 0-based position of the generator
     whose colon against its predecessors is not variable-generated.
     """
-    bad = _first_bad_step((), order.order)
+    bad = _colon_steps((), order.order)[1]
     return AdmissibilityCheck(bad is None, bad)
 
 
@@ -156,17 +153,14 @@ def order_colon_variables(order: GeneratorOrder) -> tuple:
     """Audit trail of an admissible order: the variables generating each colon.
 
     Entry i (for i >= 1) lists the 0-based variable indices whose first
-    powers generate (u_1, ..., u_i) : u_{i+1}; entry 0 is empty.  Raises
-    if some colon is not variable-generated.
+    powers generate (u_1, ..., u_i) : u_{i+1}; entry 0 is empty, and the
+    empty order has no entries.  Raises if some colon is not
+    variable-generated.
     """
-    seq = order.order
-    out = [()]
-    for i in range(1, len(seq)):
-        vars_present = _colon_variables(seq[:i], seq[i])
-        if vars_present is None:
-            raise ValueError(f"colon at position {i} is not variable-generated")
-        out.append(tuple(sorted(vars_present)))
-    return tuple(out)
+    variables, bad = _colon_steps((), order.order)
+    if bad is not None:
+        raise ValueError(f"colon at position {bad} is not variable-generated")
+    return tuple(variables)
 
 
 # ---------------------------------------------------------------------------

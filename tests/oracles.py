@@ -306,3 +306,87 @@ def naive_colon_joined(gens, v):
                 reached.append(w)
                 grew = True
     return tuple(v) in reached
+
+
+def naive_colon_steps(base, appended):
+    """(variables, bad) for appended placed in turn after base.
+
+    variables[i] lists the indices r of the variables generating the
+    colon of appended[i] against everything placed before it, computed in
+    full by naive_colon_gens (empty with nothing placed).  bad is the
+    first i whose colon has a generator of degree != 1, where the list
+    stops, or None.
+    """
+    placed = [tuple(g) for g in base]
+    variables = []
+    for i, v in enumerate(appended):
+        colon = naive_colon_gens(placed, v)
+        if any(sum(q) != 1 for q in colon):
+            return variables, i
+        variables.append(tuple(sorted(q.index(1) for q in colon)))
+        placed.append(tuple(v))
+    return variables, None
+
+
+# Reference chains between capped ideals, one capped ideal per unit step:
+# each returns (start, end, appended), start and end in canonical order.
+
+
+def naive_capped(nvars, d, caps):
+    """The degree-d monomials with entry i at most caps[i], descending lex
+    (the canonical order within one degree), by scanning the box."""
+    return sorted(
+        (t for t in itertools.product(*(range(min(c, d) + 1) for c in caps))
+         if sum(t) == d),
+        reverse=True,
+    )
+
+
+def _shifted(u, gens):
+    return [tuple(a + b for a, b in zip(u, g)) for g in gens]
+
+
+def naive_absorb_variable(nvars, d, caps, i):
+    """x_i * I_(d; caps) to I_(d+1; caps + e_i): the x_i-free generators
+    of the target, descending in the lex order that ranks x_i first."""
+    x_i = tuple(int(r == i) for r in range(nvars))
+    bumped = tuple(c + x for c, x in zip(caps, x_i))
+    end = naive_capped(nvars, d + 1, bumped)
+    appended = sorted(
+        (g for g in end if g[i] == 0),
+        key=lambda g: (g[i],) + g[:i] + g[i + 1:],
+        reverse=True,
+    )
+    return _shifted(x_i, naive_capped(nvars, d, caps)), end, appended
+
+
+def naive_raise_caps(nvars, d, caps, dst):
+    """I_(d; caps) to I_(d; dst): caps raised one unit at a time in
+    variable order, each step appending the generators at its new cap,
+    descending."""
+    cur = list(caps)
+    appended = []
+    for i in range(nvars):
+        while cur[i] < dst[i]:
+            cur[i] += 1
+            fresh = [g for g in naive_capped(nvars, d, cur) if g[i] == cur[i]]
+            appended += sorted(fresh, reverse=True)
+    return naive_capped(nvars, d, caps), naive_capped(nvars, d, dst), appended
+
+
+def naive_absorb_monomial(nvars, d, caps, c):
+    """x^c * I_(d; caps) to I_(d + |c|; caps + c): one absorbed variable at
+    a time, variable order, each step's appended part shifted by what is
+    left of c."""
+    shift = list(c)
+    cur = list(caps)
+    appended = []
+    for i in range(nvars):
+        for _ in range(c[i]):
+            shift[i] -= 1
+            _, _, part = naive_absorb_variable(nvars, d, cur, i)
+            appended += _shifted(shift, part)
+            d += 1
+            cur[i] += 1
+    start = _shifted(c, naive_capped(nvars, d - sum(c), caps))
+    return start, naive_capped(nvars, d, cur), appended

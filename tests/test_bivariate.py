@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import polyquot.bivariate
 from polyquot import (
     MonomialIdeal,
+    StructuralCheck,
     ZeroIdealError,
     classify_tight,
     cwp_structural,
@@ -176,6 +178,20 @@ def test_valley_order_every_valid_valley_is_admissible():
 def test_valley_order_requires_structural():
     with pytest.raises(ValueError):
         valley_order(ideal(2, (3, 0), (0, 3)))
+
+
+def test_valley_order_checks_its_colons(monkeypatch):
+    # a structural test reporting a wrong valley must not yield an order:
+    # the colon walk raises, also with assert statements off (python -O)
+    I = ideal(2, *SEVEN_GENS)
+    assert cwp_structural(I).valleys == (4,)
+    for wrong in (0, 3, 6):
+        monkeypatch.setattr(
+            polyquot.bivariate, "cwp_structural",
+            lambda J, v=wrong: StructuralCheck(True, v, (v,)),
+        )
+        with pytest.raises(RuntimeError, match="colon at position"):
+            valley_order(I)
 
 
 def test_equivalence_chain_small_exhaustive():

@@ -32,6 +32,7 @@ from polyquot import (
 )
 from polyquot.families import random_componentwise_sep
 from conftest import ideal, SQUARE_REGRESSION
+from oracles import naive_absorb_monomial, naive_absorb_variable, naive_raise_caps
 
 
 def test_spec_normalization_and_validation():
@@ -154,6 +155,42 @@ def test_raise_caps_examples():
     assert all(g[1] == 2 for g in ch.appended)
     big = chain_raise_caps(VeroneseSpec(4, 6, (3, 2, 1, 4)), VeroneseSpec(4, 6, (6, 6, 6, 6)))
     assert big.end == veronese(4, 6, (6, 6, 6, 6))
+
+
+def reference_specs(max_deg):
+    """Every spec with n <= 3 and d <= max_deg, and n = 4 with d <= 2."""
+    for n in range(1, 5):
+        for d in range(0, (2 if n == 4 else max_deg) + 1):
+            for caps in itertools.product(range(d + 1), repeat=n):
+                if sum(caps) >= d:
+                    yield VeroneseSpec(n, d, caps)
+
+
+def chain_parts(ch):
+    return [list(ch.start.gens), list(ch.end.gens), list(ch.appended)]
+
+
+def test_constructors_match_unit_step_reference():
+    # the constructors build each capped ideal once; the reference builds
+    # one per absorbed variable and per raised cap, as the steps are defined
+    counts = [0, 0, 0]
+    for spec in reference_specs(4):
+        n, d, caps = spec.nvars, spec.degree, spec.caps
+        for i in range(n):
+            assert chain_parts(chain_absorb_variable(spec, i)) == list(
+                naive_absorb_variable(n, d, caps, i)
+            )
+            counts[0] += 1
+        for dst in itertools.product(*(range(a, d + 1) for a in caps)):
+            ch = chain_raise_caps(spec, VeroneseSpec(n, d, dst))
+            assert chain_parts(ch) == list(naive_raise_caps(n, d, caps, dst))
+            counts[1] += 1
+        if d <= (1 if n == 4 else 2):
+            for c in itertools.product(range(3), repeat=n):
+                ch = chain_absorb_monomial(spec, c)
+                assert chain_parts(ch) == list(naive_absorb_monomial(n, d, caps, c))
+                counts[2] += 1
+    assert counts == [1013, 3850, 2232]
 
 
 def test_raise_caps_requires_domination():

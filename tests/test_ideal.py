@@ -7,10 +7,12 @@ import pytest
 
 from polyquot import (
     DegreeGuardError,
+    MonomialIdeal,
     ZeroIdealError,
     bounded_compositions,
     colon_by_monomial,
     contains,
+    deflate,
     graded_component,
     graded_components,
     maximal_ideal,
@@ -258,3 +260,30 @@ def test_canonical_order_is_deterministic():
     assert I.gens == J.gens
     degs = [sum(g) for g in I.gens]
     assert degs == sorted(degs, reverse=True)
+
+
+def test_shifts_and_capped_ideals_keep_the_canonical_order():
+    # translate, deflate, veronese and _equigenerated store their
+    # generators without sorting; each must list them as the constructor,
+    # which sorts, does
+    def canonical(n, gens):
+        return MonomialIdeal(n, list(gens)).gens
+
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        d = rng.randint(0, 5)
+        if rng.random() < 0.5:  # one degree
+            raw = [t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d]
+            I = MonomialIdeal._equigenerated(n, rng.sample(raw, rng.randint(1, len(raw))))
+            assert I.gens == canonical(n, I.gens)
+        else:
+            I = minimalize(n, [tuple(rng.randint(0, 4) for _ in range(n))
+                               for _ in range(rng.randint(1, 7))])
+        u = tuple(rng.randint(0, 3) for _ in range(n))
+        T = translate(I, u)
+        assert T.gens == canonical(n, T.gen_set)
+        assert deflate(T, u).gens == canonical(n, I.gen_set) == I.gens
+        caps = tuple(rng.randint(0, d) for _ in range(n))
+        V = veronese(n, d, caps)
+        assert V.gens == canonical(n, V.gen_set)

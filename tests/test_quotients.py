@@ -8,6 +8,7 @@ import pytest
 
 from polyquot import (
     BUDGET_EXCEEDED,
+    ChainVerificationError,
     DEFAULT_BUDGET,
     EXHAUSTED,
     FOUND,
@@ -20,7 +21,9 @@ from polyquot import (
     has_componentwise_linear_quotients,
     is_admissible_order,
     minimalize,
+    order_colon_variables,
     translate,
+    verify_chain,
     veronese,
     zero_ideal,
 )
@@ -29,6 +32,7 @@ from polyquot.quotients import _replay_layers, _times_maximal_order
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
 from oracles import (
     naive_colon_joined,
+    naive_colon_steps,
     naive_degree_slice,
     naive_exchange_connected,
     naive_exchange_part,
@@ -75,14 +79,37 @@ def test_admissible_small_ideals():
 
 
 def test_admissible_matches_naive_oracle_random():
+    # the bitset walk against every colon computed in full: fail index,
+    # colon variables, and chain checks after a nonempty start
     rng = random.Random(43)
-    for _ in range(150):
-        I = random_ideal(rng, rng.randint(2, 3), 4, 5)
-        perm = list(I.gens)
-        rng.shuffle(perm)
-        assert bool(is_admissible_order(GeneratorOrder(I, tuple(perm)))) == (
-            naive_order_admissible(perm)
-        )
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        I = random_ideal(rng, rng.randint(2, 4), 4, 6)
+        for _ in range(4):
+            perm = list(I.gens)
+            rng.shuffle(perm)
+            order = GeneratorOrder(I, tuple(perm))
+            variables, bad = naive_colon_steps((), perm)
+            chk = is_admissible_order(order)
+            assert (chk.ok, chk.fail_index) == (bad is None, bad)
+            assert chk.ok == naive_order_admissible(perm)
+            seen[chk.ok] += 1
+            if bad is None:
+                assert order_colon_variables(order) == tuple(variables)
+            else:
+                with pytest.raises(ValueError, match=f"position {bad} "):
+                    order_colon_variables(order)
+            k = rng.randint(1, len(perm))
+            start = minimalize(I.nvars, perm[:k])
+            _, bad = naive_colon_steps(start.gens, perm[k:])
+            if bad is None:
+                verify_chain(start, I, perm[k:])
+            else:
+                with pytest.raises(ChainVerificationError, match=f"position {bad} "):
+                    verify_chain(start, I, perm[k:])
+    assert min(seen.values()) > 200
+    empty = GeneratorOrder(zero_ideal(3), ())
+    assert is_admissible_order(empty) and order_colon_variables(empty) == ()
 
 
 def test_find_single_generator():
@@ -305,8 +332,6 @@ def test_extends_between_capped_ideals():
 
 
 def test_order_colon_variables_audit():
-    from polyquot import order_colon_variables
-
     I = ideal(2, *SEVEN_GENS)
     audit = order_colon_variables(GeneratorOrder(I, tuple(SEVEN_ORDER)))
     # (x) along the tail, (y) along the reversed head
