@@ -75,12 +75,17 @@ def lex_order(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
     """Minimal generators sorted by strictly decreasing x-exponent.
 
     Minimality forces the y-exponents to be strictly increasing along the
-    same sequence; both chains are asserted.
+    same sequence; both chains are checked, and a break raises
+    ``RuntimeError``.
     """
     _require_bivariate(ideal)
-    gens = sorted(ideal.gens, key=lambda g: g[0], reverse=True)
+    gens = sorted(ideal.gens, reverse=True)
     for (a1, b1), (a2, b2) in zip(gens, gens[1:]):
-        assert a1 > a2 and b1 < b2, "minimal generators must form a staircase"
+        if not (a1 > a2 and b1 < b2):
+            raise RuntimeError(
+                f"{ideal!r}: generators ({a1}, {b1}) and ({a2}, {b2}) do not "
+                "form a staircase"
+            )
     return tuple(gens)
 
 

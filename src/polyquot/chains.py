@@ -39,7 +39,7 @@ from .exchange import (
     _require_nonzero,
     satisfies_strong_exchange,
 )
-from .quotients import GeneratorOrder, _colon_steps, is_admissible_order
+from .quotients import GeneratorOrder, _colon_steps
 
 
 class ChainVerificationError(RuntimeError):
@@ -304,6 +304,11 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     order is checked before it is returned.  An ideal some component of
     which fails strong exchange raises :class:`NotComponentwiseSEPError`.
     """
+    return _sep_order(ideal)[0]
+
+
+def _sep_order(ideal: MonomialIdeal):
+    """sep_admissible_order and the colon variables of the walk checking it."""
     _require_nonzero(ideal)
     n = ideal.nvars
     lo, hi = ideal.mindeg, ideal.maxdeg
@@ -359,9 +364,9 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     # lower-degree generators placed before degree j+1 and m * I_<j> agree
     # in every degree >= j+1, so this check sees the same colons
     result = GeneratorOrder(ideal, tuple(order))
-    chk = is_admissible_order(result)
-    if not chk:
+    variables, bad = _colon_steps((), result.order)
+    if bad is not None:
         raise ChainVerificationError(
-            f"assembled order failed admissibility at position {chk.fail_index}"
+            f"assembled order failed admissibility at position {bad}"
         )
-    return result
+    return result, tuple(variables)

@@ -49,13 +49,12 @@ from .quotients import (
     GeneratorOrder,
     find_admissible_order,
     is_admissible_order,
-    order_colon_variables,
 )
 from .bivariate import cwp_structural, tight_factorization, valley_order
 from .chains import (
     ChainVerificationError,
     NotComponentwiseSEPError,
-    sep_admissible_order,
+    _sep_order,
 )
 from .search import SCHEMA, SearchConfig, question1_search
 from .textio import parse_ideal_details, parse_rows, serialize_ideal
@@ -276,7 +275,7 @@ def _cmd_component(args) -> int:
 def _cmd_sep_order(args) -> int:
     parsed = _read_ideal(args.input)
     try:
-        order = sep_admissible_order(parsed.ideal)
+        order, colons = _sep_order(parsed.ideal)
     except ValueError as exc:
         report = _report("sep-order", parsed, ok=False, reason=str(exc))
         if isinstance(exc, NotComponentwiseSEPError):
@@ -284,13 +283,13 @@ def _cmd_sep_order(args) -> int:
             report["witness"] = _witness_json(exc.witness)
         _emit(report, args)
         return EXIT_PREDICATE_FALSE
-    # sep_admissible_order checked every colon of the order, and the audit
-    # raises on one that is not variable-generated: the order is verified
+    # _sep_order walked every colon of the order and raises on one that is
+    # not variable-generated: the order is verified
     _emit(_report(
         "sep-order", parsed,
         ok=True,
         order=[list(g) for g in order.order],
-        colon_variables=[list(vs) for vs in order_colon_variables(order)],
+        colon_variables=[list(vs) for vs in colons],
         verified=True,
     ), args)
     return EXIT_OK

@@ -9,11 +9,15 @@ failure, so the reported witness is deterministic.  A failing witness is
 independently re-checkable: replaying (u, v, i) against membership must
 show every admissible exchange monomial absent from the ideal.
 
-Strong exchange is decided first by the box rule.  With u_i = min g_i,
-a_i = max g_i - u_i and d' = deg - |u|, generators filling the box of b with
-|b| = d', 0 <= b <= a are u * I_(d'; a), which passes: x_j * g / x_i stays
-in the box when g_i > h_i and g_j < h_j.  Only such translates pass
-(Herzog-Hibi, Discrete polymatroids, 2002), so the sweep fails on the rest.
+Every one-degree check is decided first by the box rule.  With
+u_i = min g_i, a_i = max g_i - u_i and d' = deg - |u|, generators filling
+the box of b with |b| = d', 0 <= b <= a are u * I_(d'; a), which has strong
+exchange, so exchange: x_j * g / x_i stays in the box when g_i > h_i and
+g_j < h_j.  So the box decides every passing check; the pair sweep runs off
+it.  Only such translates have strong exchange (Herzog-Hibi, Discrete
+polymatroids, 2002), so where the strong sweep runs (satisfies_strong_exchange,
+chains.sep_admissible_order) a pass raises.  In K[x, y] every polymatroidal
+component is a filled box: there the sweep runs only to find a failing witness.
 
 Variable indices are 0-based throughout.
 """
@@ -148,15 +152,25 @@ def _box_count(total, caps):
     return sum(ways[max(0, total - caps[-1]) :]) if len(caps) > 1 else ways[total]
 
 
-def _one_degree_failure(ideal: MonomialIdeal, every: bool):
-    """With ``every`` the box rule, then the sweep of all ordered pairs; u moves."""
+def _fills_box(gens) -> bool:
+    """Whether nonempty equigenerated generators are all of u * I_(d'; a)."""
+    _, caps, d = _box(gens)
+    return len(gens) == _box_count(d, caps)
+
+
+def _pair_failure(ideal: MonomialIdeal, every: bool):
+    """The sweep of all ordered pairs of one degree; u moves."""
     gens = ideal.gens
-    if every:
-        _, caps, d = _box(gens)
-        if len(gens) == _box_count(d, caps):
-            return None
     pairs = ((u, v) for u in gens for v in gens if u is not v)
-    failure = _exchange_failure(pairs, ideal.nvars, 1, ideal.gen_set, every)
+    return _exchange_failure(pairs, ideal.nvars, 1, ideal.gen_set, every)
+
+
+def _one_degree_failure(ideal: MonomialIdeal, every: bool):
+    """The box rule, then the pair sweep; a strong sweep passing off the
+    box contradicts Herzog-Hibi and raises."""
+    if _fills_box(ideal.gens):
+        return None
+    failure = _pair_failure(ideal, every)
     if failure is None and every:
         raise RuntimeError(f"{ideal!r}: strong exchange, box not filled (Herzog-Hibi)")
     return failure
@@ -251,24 +265,48 @@ def _componentwise_verdicts(ideal: MonomialIdeal, poly=True, sep=True):
     from one sweep over the graded components; a verdict not asked for is
     None.
 
-    Strong exchange within one degree implies the exchange property, so
-    while it holds the strong test decides each component (a filled box
-    u * I_(d'; a) passes, being closed under the moves, Herzog-Hibi); after
-    its first failure only the exchange sweep runs, to the verdicts asked for.
+    A component filling its box u * I_(d'; a) passes both; only such
+    components have strong exchange (Herzog-Hibi), so the box alone gives
+    the strong verdict.  The pair sweep runs on the other components, and
+    only while the exchange verdict is asked for.
     """
     _require_nonzero(ideal)
     strong = sep
     for j, comp in graded_components(ideal):
-        if strong:
-            if _one_degree_failure(comp, True) is None:
-                continue
-            strong = False
-            if not poly:
-                break
-        chk = is_polymatroidal(comp)
-        if not chk:
-            return ComponentCheck(False, j, chk.witness), (False if sep else None)
+        if _fills_box(comp.gens):
+            continue
+        strong = False
+        if not poly:
+            break
+        failure = _pair_failure(comp, False)
+        if failure is not None:
+            return ComponentCheck(False, j, ExchangeWitness(*failure)), (False if sep else None)
     return (ComponentCheck(True, None, None) if poly else None), (strong if sep else None)
+
+
+def _distance(w: Monomial, v: Monomial) -> int:
+    return sum(abs(a - b) for a, b in zip(w, v))
+
+
+def _walk_step(w: Monomial, v: Monomial, i: int, gen_set) -> Optional[Monomial]:
+    """The walk's next generator x_k * w / x_l, for the first k != i with
+    w_k < v_k and the first l with w_l > v_l that lands in ``gen_set``;
+    None when no such k is left."""
+    k = next((k for k in range(len(w)) if k != i and w[k] < v[k]), None)
+    if k is None:
+        return None
+    for l in range(len(w)):
+        if w[l] > v[l]:
+            cand = list(w)
+            cand[k] += 1
+            cand[l] -= 1
+            cand = tuple(cand)
+            if cand in gen_set:
+                return cand
+    raise DualExchangeViolationError(
+        f"walk stalled at {w} toward {v} (index {k}): the ideal "
+        "does not satisfy the dual exchange property"
+    )
 
 
 def exchange_walk(
@@ -295,33 +333,13 @@ def exchange_walk(
         raise ValueError(f"variable index {i} out of range")
     if u[i] >= v[i]:
         raise ValueError("need deg_i(u) < deg_i(v)")
-    n = ideal.nvars
     w = u
-    dist2 = sum(abs(a - b) for a, b in zip(w, v))
-    while True:
-        ks = [k for k in range(n) if k != i and w[k] < v[k]]
-        if not ks:
-            break
-        k = ks[0]
-        nxt = None
-        for l in range(n):
-            if w[l] <= v[l]:
-                continue
-            cand = list(w)
-            cand[k] += 1
-            cand[l] -= 1
-            cand = tuple(cand)
-            if cand in gen_set:
-                nxt = cand
-                break
-        if nxt is None:
-            raise DualExchangeViolationError(
-                f"walk stalled at {w} toward {v} (index {k}): the ideal "
-                "does not satisfy the dual exchange property"
-            )
-        new_dist2 = sum(abs(a - b) for a, b in zip(nxt, v))
-        assert new_dist2 < dist2, "walk step failed to decrease distance"
-        w, dist2 = nxt, new_dist2
-    assert w[i] == u[i]
-    assert all(w[j] >= v[j] for j in range(n) if j != i)
+    while (nxt := _walk_step(w, v, i, gen_set)) is not None:
+        if _distance(nxt, v) >= _distance(w, v):
+            raise RuntimeError(f"walk step {w} -> {nxt} does not move closer to {v}")
+        w = nxt
+    if w[i] != u[i]:
+        raise RuntimeError(f"walk from {u} moved the frozen index {i} to {w}")
+    if any(a < b for k, (a, b) in enumerate(zip(w, v)) if k != i):
+        raise RuntimeError(f"walk from {u} ended at {w}, short of {v} off index {i}")
     return w

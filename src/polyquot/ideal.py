@@ -9,6 +9,7 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 Monomial = tuple  # exponent vector: tuple[int, ...]
@@ -44,7 +45,7 @@ def degree(u: Monomial) -> int:
 
 def divides(u: Monomial, v: Monomial) -> bool:
     """True if u divides v componentwise."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def monomial_mul(u: Monomial, v: Monomial) -> Monomial:
@@ -150,12 +151,11 @@ class MonomialIdeal:
             raise ValueError("number of variables must be positive")
         self.nvars = nvars
         if _trusted:
-            seen = frozenset(gens)
+            kept = sorted(set(gens), key=_canonical_key)
         else:
-            raw = [_validate_monomial(nvars, g) for g in gens]
-            seen = frozenset(_minimal_subset(raw))
-        self.gens = tuple(sorted(seen, key=_canonical_key, reverse=True))
-        self.gen_set = seen
+            kept = _minimal_subset([_validate_monomial(nvars, g) for g in gens])
+        self.gens = tuple(reversed(kept))
+        self.gen_set = frozenset(kept)
 
     # construction shortcuts -------------------------------------------------
 
@@ -211,9 +211,8 @@ class MonomialIdeal:
             raise ValueError(
                 f"monomial {u} has length {len(u)}, expected {self.nvars}"
             )
-        du = sum(u)
         for g in self.gens:
-            if sum(g) <= du and divides(g, u):
+            if all(map(le, g, u)):
                 return True
         return False
 
@@ -240,13 +239,15 @@ class MonomialIdeal:
 
 
 def _minimal_subset(raw: Sequence[Monomial]) -> list:
-    """Divisibility-minimal elements of raw (duplicates collapse)."""
+    """Divisibility-minimal elements of raw, ascending graded-lex (no duplicates)."""
     # degree-ascending scan: only already-kept (lower or equal degree)
     # elements can divide the current one
-    uniq = sorted(set(raw), key=lambda g: (sum(g), g))
     kept: list = []
-    for g in uniq:
-        if not any(divides(h, g) for h in kept):
+    for g in sorted(set(raw), key=_canonical_key):
+        for h in kept:
+            if all(map(le, h, g)):
+                break
+        else:
             kept.append(g)
     return kept
 

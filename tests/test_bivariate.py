@@ -48,6 +48,13 @@ def test_lex_order_staircase_random():
         assert all(p[0] > q[0] and p[1] < q[1] for p, q in zip(seq, seq[1:]))
 
 
+def test_lex_order_checks_the_staircase():
+    # generators that break the staircase raise, also under python -O
+    for gens in (((2, 1), (1, 0)), ((1, 2), (1, 0))):
+        with pytest.raises(RuntimeError, match="staircase"):
+            lex_order(MonomialIdeal._presorted(2, gens))
+
+
 def test_lex_order_rejects_wrong_arity():
     with pytest.raises(ValueError):
         lex_order(ideal(3, (1, 0, 0)))

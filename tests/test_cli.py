@@ -16,6 +16,7 @@ from polyquot import (
     graded_component,
     is_admissible_order,
     minimalize,
+    order_colon_variables,
     satisfies_nonpure_dual_exchange,
     satisfies_nonpure_exchange,
     serialize_ideal,
@@ -314,6 +315,8 @@ def test_sep_order_command(tmp_path, capsys):
     assert code == EXIT_OK and report["verified"] is True
     order = GeneratorOrder(I, tuple(tuple(g) for g in report["order"]))
     assert is_admissible_order(order)
+    # the audit comes from the walk that checked the order
+    assert report["colon_variables"] == [list(vs) for vs in order_colon_variables(order)]
     bad = write_ideal(tmp_path, "bad.txt", ideal(2, (3, 0), (0, 3)))
     assert main(["sep-order", "--input", bad]) == EXIT_PREDICATE_FALSE
 

@@ -35,6 +35,8 @@ from polyquot.families import iter_equigenerated_ideals, random_componentwise_se
 from conftest import ideal, DUAL_ONLY, NONPURE_ONLY, SQUARE_REGRESSION
 from oracles import (
     count_bounded_compositions,
+    ideal_of,
+    naive_degree_slice,
     naive_dual_exchange,
     naive_exchange_witness,
 )
@@ -369,6 +371,38 @@ def test_strong_exchange_box_rule_matches_naive_oracle():
     assert min(seen.values()) > 100, seen
 
 
+def test_exchange_box_rule_matches_naive_oracle():
+    # the filled box decides every passing exchange check and the pair sweep
+    # gives the oracle's first witness on the rest; the componentwise
+    # verdicts, read off the boxes, match the oracle applied per component
+    rng = random.Random(16)
+    seen = {"exchange holds": 0, "exchange fails": 0, "sep": 0, "not sep": 0}
+    for _ in range(600):
+        I = _random_equigenerated(rng)
+        n, d = I.nvars, I.mindeg
+        pool = [t for t in itertools.product(range(d + 2), repeat=n) if sum(t) == d + 1]
+        multi = ideal_of(n, list(I.gens) + rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+        for J in (I, graded_component(I, d + 1), multi):
+            if J.is_equigenerated:
+                expected = naive_exchange_witness(J, "exchange")
+                assert _one_degree_failure(J, False) == expected
+                seen["exchange " + ("holds" if expected is None else "fails")] += 1
+            first_fail, sep = None, True
+            for j in range(J.mindeg, J.maxdeg + 1):
+                comp = ideal_of(n, naive_degree_slice(J, j))
+                sep = sep and naive_exchange_witness(comp, "strong") is None
+                witness = naive_exchange_witness(comp, "exchange")
+                if first_fail is None and witness is not None:
+                    first_fail = (j, ExchangeWitness(*witness))
+            assert is_componentwise_sep(J) == sep
+            chk = is_componentwise_polymatroidal(J)
+            assert chk.ok == (first_fail is None)
+            if first_fail is not None:
+                assert (chk.degree, chk.witness) == first_fail
+            seen["sep" if sep else "not sep"] += 1
+    assert min(seen.values()) > 100, seen
+
+
 def test_strong_exchange_contradiction_guard(monkeypatch):
     # a capped ideal passes the sweep, so a box count that misses it must
     # raise rather than report a failure the sweep did not find
@@ -498,3 +532,20 @@ def test_walk_rejects_bad_arguments():
         exchange_walk(V, (2, 0), (0, 2), 0)  # u_i >= v_i
     with pytest.raises(ValueError):
         exchange_walk(V, (1, 0), (0, 2), 1)  # u not a generator
+
+
+def test_walk_checks_its_steps_and_end(monkeypatch):
+    # each check on the walk raises, also under python -O, when a step is
+    # made to break it
+    V = veronese(3, 3, (3, 3, 3))
+    u, v = (0, 1, 2), (1, 2, 0)
+    assert exchange_walk(V, u, v, 1) == (1, 1, 1)
+    cases = (
+        ({u: (0, 0, 3)}, "does not move closer"),
+        ({u: v}, "moved the frozen index 1"),
+        ({}, "short of"),
+    )
+    for steps, message in cases:
+        monkeypatch.setattr(exchange, "_walk_step", lambda w, *_: steps.get(w))
+        with pytest.raises(RuntimeError, match=message):
+            exchange_walk(V, u, v, 1)

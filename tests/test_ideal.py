@@ -23,11 +23,13 @@ from polyquot import (
     veronese,
     zero_ideal,
 )
+from polyquot.ideal import divides, unit_monomial
 from conftest import ideal, NONPURE_ONLY
 from oracles import (
     count_bounded_compositions,
     naive_contains,
     naive_degree_slice,
+    naive_divides,
 )
 
 
@@ -96,6 +98,30 @@ def test_contains_matches_expansion_oracle():
                            for _ in range(rng.randint(1, 4))])
         u = tuple(rng.randint(0, 5) for _ in range(n))
         assert contains(I, u) == naive_contains(I, u)
+
+
+def test_divisibility_kernel_matches_naive_oracles():
+    # divides, contains and minimalize against the naive definitions on
+    # random tuples, the unit ideal and repeated or zero exponents included
+    rng = random.Random(16)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        raw = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+        if rng.random() < 0.1:
+            raw.append(unit_monomial(n))
+        I = minimalize(n, raw)
+        minimal = {g for g in raw if not any(h != g and naive_divides(h, g) for h in raw)}
+        assert I.gen_set == minimal
+        assert I.gens == tuple(sorted(minimal, key=lambda g: (sum(g), g), reverse=True))
+        assert MonomialIdeal(n, minimal, _trusted=True).gens == I.gens
+        for J in (I, unit_ideal(n)):
+            for _ in range(5):
+                u = tuple(rng.randint(0, 4) for _ in range(n))
+                assert contains(J, u) == naive_contains(J, u)
+                if raw:
+                    g = rng.choice(raw)
+                    assert divides(g, u) == naive_divides(g, u)
+                    assert divides(u, g) == naive_divides(u, g)
 
 
 def test_colon_examples():
