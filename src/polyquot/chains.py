@@ -9,17 +9,18 @@ accumulated set is variable-generated.  Chaining those steps degree by
 degree produces a verified admissible order for any componentwise
 polymatroidal ideal with the strong exchange property.
 
-Each constructor builds a capped ideal once: :func:`chain_absorb_variable`
-and :func:`chain_raise_caps` build only their end ideal and read the start
-off it, and :func:`chain_absorb_monomial` shifts only the appended part of
-its steps.  Every chain constructed here is verified step by step before
-it is returned; a verification failure raises instead of returning a bad
-chain.
+A spec keeps the capped ideal it builds, so a degree step of
+:func:`sep_admissible_order` builds each capped ideal once:
+:func:`chain_absorb_variable` and :func:`chain_raise_caps` build only their
+end ideal and read the start off it, and :func:`chain_absorb_monomial`
+shifts only the appended part of its steps.  Every chain constructed here
+is verified step by step before it is returned; a verification failure
+raises instead of returning a bad chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple
 
 from .ideal import (
@@ -73,12 +74,14 @@ class VeroneseSpec:
 
     Caps are clamped to d on construction so equal ideals get equal
     specs.  Specs describing the zero ideal are rejected; degree 0
-    (the unit ideal) is allowed so that principal ideals factor.
+    (the unit ideal) is allowed so that principal ideals factor.  The
+    ideal is built on the first call of :meth:`ideal` and kept.
     """
 
     nvars: int
     degree: int
     caps: Tuple[int, ...]
+    _ideal: MonomialIdeal = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.nvars < 1:
@@ -96,7 +99,9 @@ class VeroneseSpec:
         object.__setattr__(self, "caps", caps)
 
     def ideal(self) -> MonomialIdeal:
-        return veronese(self.nvars, self.degree, self.caps)
+        if self._ideal is None:
+            object.__setattr__(self, "_ideal", veronese(self.nvars, self.degree, self.caps))
+        return self._ideal
 
     def bump(self, i: int) -> "VeroneseSpec":
         """Degree and cap i both raised by one."""
@@ -298,7 +303,8 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     order).  For each degree step j -> j+1 the component factorizations
     I_<j> = u * I_(d; a) and I_<j+1> = v * I_(l; b) are composed into a
     chain from (x_1, ..., x_n) * I_<j> to I_<j+1>: absorb the maximal
-    ideal into the spec, absorb x^(u-v), then raise caps to b.  The new
+    ideal into the spec, absorb x^(u-v) when u != v, then raise caps to
+    b, reusing the capped ideals the factorizations built.  The new
     minimal generators of degree j+1 — which are exactly the monomials the
     composite appends — join the order in chain position.  The assembled
     order is checked before it is returned.  An ideal some component of
@@ -337,23 +343,20 @@ def _sep_order(ideal: MonomialIdeal):
                 "degree bookkeeping failed between components "
                 f"{j} and {j + 1}"
             )
-        ch1 = translate_chain(chain_absorb_maximal_ideal(spec_u), u)
+        chain = translate_chain(chain_absorb_maximal_ideal(spec_u), u)
         mid = VeroneseSpec(n, spec_u.degree + 1, tuple(a + 1 for a in spec_u.caps))
-        ch2 = translate_chain(chain_absorb_monomial(mid, c), v)
-        after = VeroneseSpec(
-            n, mid.degree + sum(c), tuple(a + e for a, e in zip(mid.caps, c))
-        )
+        if any(c):  # with u = v the chain absorbing x^c is empty
+            ch2 = translate_chain(chain_absorb_monomial(mid, c), v)
+            chain = concat_chains(chain, ch2)
+        after = VeroneseSpec(n, mid.degree + sum(c), monomial_mul(mid.caps, c))
         ch3 = translate_chain(chain_raise_caps(after, spec_v), v)
-        composite = concat_chains(concat_chains(ch1, ch2), ch3)
+        composite = concat_chains(chain, ch3)
         if composite.end != comps[j + 1]:
             raise ChainVerificationError(
                 f"composite chain for degrees {j} -> {j + 1} does not end at "
                 "the graded component"
             )
-        new_true = tuple(
-            g for g in ideal.gen_set if sum(g) == j + 1
-        )
-        if set(composite.appended) != set(new_true):
+        if set(composite.appended) != {g for g in ideal.gens if sum(g) == j + 1}:
             raise ChainVerificationError(
                 f"appended monomials of the degree {j + 1} chain are not the "
                 "new minimal generators"

@@ -83,32 +83,23 @@ def compositions(total: int, nvars: int) -> Iterator[Monomial]:
 def bounded_compositions(total: int, caps: Sequence[int]) -> Iterator[Monomial]:
     """All exponent tuples with sum `total` and entry i at most caps[i].
 
-    Tuples are produced in descending lexicographic order.
+    Tuples are produced in descending lexicographic order: prefixes grow
+    one variable at a time, each by its entries from the largest down that
+    the later caps can complete, and the last two entries in one step.
     """
-    n = len(caps)
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    # suffix[i] = caps[i] + ... + caps[n-1], for pruning
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + caps[i]
-    out = [0] * n
-
-    def rec(i: int, rem: int) -> Iterator[Monomial]:
-        if i == n - 1:
-            if rem <= caps[i]:
-                out[i] = rem
-                yield tuple(out)
-            return
-        lo = max(0, rem - suffix[i + 1])
-        for e in range(min(caps[i], rem), lo - 1, -1):
-            out[i] = e
-            yield from rec(i + 1, rem - e)
-
-    if 0 <= total <= suffix[0]:
-        yield from rec(0, total)
+    rest = sum(caps)  # the most the entries not yet placed can take
+    if not 0 <= total <= rest:
+        return iter(())
+    if len(caps) < 2:  # () for no variable, (total,) for one
+        return iter([(total,)[:len(caps)]])
+    level = [((), total)]
+    for c in caps[:-2]:
+        rest -= c
+        level = [(p + (e,), r - e) for p, r in level
+                 for e in range(min(c, r), max(0, r - rest) - 1, -1)]
+    c, last = caps[-2], caps[-1]
+    return iter([p + (e, r - e) for p, r in level
+                 for e in range(min(c, r), max(0, r - last) - 1, -1)])
 
 
 def _canonical_key(g: Monomial):

@@ -376,18 +376,22 @@ def _replay_layers(layers, budget: int) -> SearchOutcome:
     return SearchOutcome(FOUND, order, nodes)
 
 
-def _decide_stepped(lower: tuple, base: tuple, new: tuple, nvars: int, budget: int):
+def _decide_stepped(lower: tuple, below: tuple, new: tuple, nvars: int, budget: int):
     """(outcome, component, layer) for I_<j> = m * I_<j-1> + (new), with
-    ``lower`` G(I)_<j, ``base`` an admissible order of m * I_<j-1>, ``new``
+    ``lower`` G(I)_<j, ``below`` an admissible order of I_<j-1>, ``new``
     the generators of I of degree j and layer their search's (status,
-    nodes, part); the component is built only when it is searched whole.
-    The four steps and their proofs are in :func:`has_componentwise_linear_quotients`.
+    nodes, part); the base, m * I_<j-1> listed from ``below``, is built
+    only when it is read, and the component only when it is searched
+    whole.  The four steps and their proofs are in
+    :func:`has_componentwise_linear_quotients`.
     """
-    if not new:
-        return SearchOutcome(FOUND, base, 0), None, (FOUND, 0, ())
-    status, order, nodes, v = _decide_layer(lower, new, budget)
-    if v is not None:
-        return SearchOutcome(EXHAUSTED, None, 0, (base[0], v)), None, None
+    status, order, nodes, v = (
+        _decide_layer(lower, new, budget) if new else (FOUND, (), 0, None)
+    )
+    if v is not None:  # the base's first member is x_1 * below[0]
+        first = (below[0][0] + 1,) + below[0][1:]
+        return SearchOutcome(EXHAUSTED, None, 0, (first, v)), None, None
+    base = _times_maximal_order(below, nvars)
     layer = (status, nodes, order)
     if status == FOUND:
         return SearchOutcome(FOUND, base + order, nodes), None, layer
@@ -482,8 +486,7 @@ def has_componentwise_linear_quotients(
         else:
             guard_degree(j)
             if res.status == FOUND:
-                base = _times_maximal_order(res.order, n)
-                res, comp, layer = _decide_stepped(lower, base, new, n, budget)
+                res, comp, layer = _decide_stepped(lower, res.order, new, n, budget)
                 layers.append(layer)
             else:
                 comp = MonomialIdeal._equigenerated(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,11 @@ from polyquot import (
     verify_chain,
     veronese,
 )
+import polyquot.chains
+from polyquot.exchange import _box
 from polyquot.families import random_componentwise_sep
+from polyquot.ideal import graded_components
+from polyquot.textio import parse_ideal
 from conftest import ideal, SQUARE_REGRESSION
 from oracles import naive_absorb_monomial, naive_absorb_variable, naive_raise_caps
 
@@ -351,3 +356,41 @@ def test_componentwise_capped_sums():
             continue
         assert is_admissible_order(sep_admissible_order(I))
         done += 1
+
+
+def test_sep_admissible_order_builds_each_capped_ideal_once_per_step(monkeypatch):
+    # one build per component, for the factorization's rebuild check; per
+    # degree step one for the end of the absorb-maximal chain and one per
+    # variable step absorbing x^c, c = u - v.  The factorizations' capped
+    # ideals are passed through, and c = 0 builds no chain at all.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return veronese(*args)
+
+    monkeypatch.setattr(polyquot.chains, "veronese", counting)
+    data = Path(__file__).parent / "data"
+    inputs = [
+        parse_ideal((data / name).read_text())
+        for name in ("golden/i1.txt", "golden/i2.txt", "golden/seven.txt",
+                     "golden/square-regression.txt", "i3.txt")
+    ]
+    rng = random.Random(151)
+    inputs += [random_componentwise_sep(rng, 3, 8) for _ in range(30)]
+    kinds = set()
+    for I in inputs:
+        shifts = [_box(comp.gens)[0] for _, comp in graded_components(I)]
+        absorbed = [sum(u) - sum(v) for u, v in zip(shifts, shifts[1:])]
+        kinds.update(bool(k) for k in absorbed)
+        del built[:]
+        sep_admissible_order(I)
+        assert len(built) == len(shifts) + len(absorbed) + sum(absorbed)
+    assert kinds == {False, True}  # steps with and without x^c absorbed
+
+    spec = VeroneseSpec(3, 4, (1, 3, 3))
+    first = spec.ideal()
+    assert spec.ideal() is first
+    fresh = VeroneseSpec(3, 4, (1, 3, 3))
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh)

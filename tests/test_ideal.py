@@ -278,6 +278,14 @@ def test_veronese_cardinality_vs_inclusion_exclusion():
         expect = count_bounded_compositions(d, caps)
         assert len(veronese(n, d, caps)) == expect
         assert len(list(bounded_compositions(d, caps))) == expect
+    # element for element, the descending-sorted members of the box with
+    # the sum, for every caps up to 4 in up to 4 variables (and none)
+    for n in range(5):
+        for caps in itertools.product(range(5), repeat=n):
+            box = sorted(itertools.product(*[range(c + 1) for c in caps]), reverse=True)
+            for total in range(-1, sum(caps) + 2):
+                expect = [t for t in box if sum(t) == total]
+                assert list(bounded_compositions(total, caps)) == expect
 
 
 def test_canonical_order_is_deterministic():
