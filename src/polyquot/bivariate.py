@@ -99,7 +99,11 @@ def classify_tight(ideal: MonomialIdeal) -> TightClass:
     run through 0, 1, ..., m, and yx-tight when a y-tight prefix meets an
     x-tight suffix at some join index.
     """
-    gens = lex_order(ideal)
+    return _classify_staircase(lex_order(ideal))
+
+
+def _classify_staircase(gens) -> TightClass:
+    """:func:`classify_tight` of the ideal with staircase ``gens``."""
     m = len(gens) - 1
     if gens[-1][0] != 0 or gens[0][1] != 0:
         raise ValueError(
@@ -144,7 +148,7 @@ def tight_factorization(ideal: MonomialIdeal):
     s = gens[-1][0]
     t = gens[0][1]
     core = deflate(ideal, (s, t))
-    return s, t, core, classify_tight(core)
+    return s, t, core, _classify_staircase([(a - s, b - t) for a, b in gens])
 
 
 def cwp_structural(ideal: MonomialIdeal) -> StructuralCheck:

@@ -19,6 +19,11 @@ polymatroids, 2002), so where the strong sweep runs (satisfies_strong_exchange,
 chains.sep_admissible_order) a pass raises.  In K[x, y] every polymatroidal
 component is a filled box: there the sweep runs only to find a failing witness.
 
+The componentwise predicates share one sweep over the graded components,
+which gives both verdicts when the exchange verdict is asked for; the ideal
+object keeps that pair, so asking it either question again sweeps nothing.
+Nothing is shared between objects, even equal ones.
+
 Variable indices are 0-based throughout.
 """
 
@@ -268,10 +273,24 @@ def _componentwise_verdicts(ideal: MonomialIdeal, poly=True, sep=True):
     A component filling its box u * I_(d'; a) passes both; only such
     components have strong exchange (Herzog-Hibi), so the box alone gives
     the strong verdict.  The pair sweep runs on the other components, and
-    only while the exchange verdict is asked for.
+    only while the exchange verdict is asked for.  Such a sweep gives both
+    verdicts, so it keeps the pair on the ideal object, and later calls on
+    that object read it instead of sweeping.  A sweep for the strong
+    verdict alone stops at the first component off its box and keeps
+    nothing; so does a sweep that raises ``DegreeGuardError``.
     """
+    kept = getattr(ideal, "_verdicts", None)
+    if kept is None:
+        kept = _sweep_components(ideal, poly)
+        if poly:
+            ideal._verdicts = kept
+    return (kept[0] if poly else None), (kept[1] if sep else None)
+
+
+def _sweep_components(ideal: MonomialIdeal, poly: bool):
+    """(exchange check, None without ``poly``; strong verdict)."""
     _require_nonzero(ideal)
-    strong = sep
+    strong = True
     for j, comp in graded_components(ideal):
         if _fills_box(comp.gens):
             continue
@@ -280,8 +299,8 @@ def _componentwise_verdicts(ideal: MonomialIdeal, poly=True, sep=True):
             break
         failure = _pair_failure(comp, False)
         if failure is not None:
-            return ComponentCheck(False, j, ExchangeWitness(*failure)), (False if sep else None)
-    return (ComponentCheck(True, None, None) if poly else None), (strong if sep else None)
+            return ComponentCheck(False, j, ExchangeWitness(*failure)), False
+    return (ComponentCheck(True, None, None) if poly else None), strong
 
 
 def _distance(w: Monomial, v: Monomial) -> int:

@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 
 from .ideal import (
     MonomialIdeal,
+    _canonical_key,
     compositions,
     divides,
     minimalize,
@@ -46,7 +47,9 @@ def iter_bivariate_antichains(max_exp: int, max_gens: int) -> Iterator[MonomialI
             a = tuple(reversed(xs))
             for bs in itertools.combinations(rng, k):
                 gens = frozenset(zip(a, bs))
-                yield MonomialIdeal(2, gens, _trusted=True)
+                yield MonomialIdeal._presorted(
+                    2, tuple(sorted(gens, key=_canonical_key, reverse=True)), gens
+                )
 
 
 def iter_antichains(nvars: int, max_exp: int, max_gens: int) -> Iterator[MonomialIdeal]:
@@ -174,6 +177,6 @@ def random_componentwise_sep(
                 if sum(caps) >= d:
                     break
             gens.update(translate(veronese(nvars, d, caps), shift).gens)
-        ideal = minimalize(nvars, gens)
+        ideal = MonomialIdeal._from_valid(nvars, gens)
         if is_componentwise_sep(ideal):
             return ideal

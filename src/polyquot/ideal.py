@@ -4,7 +4,10 @@ A monomial in n variables is an exponent tuple of n nonnegative integers;
 its degree is the sum of the entries.  A :class:`MonomialIdeal` stores the
 unique minimal generating set (a divisibility antichain) in a fixed
 graded-lexicographic order, so equal ideals compare and serialize equally.
-All values are immutable and every operation is a pure function.
+All values are immutable and every operation is a pure function.  An ideal
+may keep a verdict computed on it (the componentwise exchange verdicts of
+:mod:`polyquot.exchange`) in a private slot; what it keeps never changes
+what a call returns, nor equality or hashing.
 """
 
 from __future__ import annotations
@@ -135,7 +138,9 @@ class MonomialIdeal:
     is the unit ideal (the whole ring).
     """
 
-    __slots__ = ("nvars", "gens", "gen_set")
+    # _verdicts: the componentwise exchange verdicts, set on the first full
+    # sweep (exchange._componentwise_verdicts), unset until then
+    __slots__ = ("nvars", "gens", "gen_set", "_verdicts")
 
     def __init__(self, nvars: int, gens: Iterable[Monomial] = (), *, _trusted=False):
         if nvars < 1:
@@ -158,6 +163,13 @@ class MonomialIdeal:
         self.gens = gens
         self.gen_set = frozenset(gens) if gen_set is None else gen_set
         return self
+
+    @classmethod
+    def _from_valid(cls, nvars: int, raw) -> "MonomialIdeal":
+        # exponent tuples already known valid (built by the library, or
+        # checked by the text parser): minimalized, not validated again
+        kept = _minimal_subset(raw)
+        return cls._presorted(nvars, tuple(reversed(kept)), frozenset(kept))
 
     @classmethod
     def _equigenerated(cls, nvars: int, gens: Iterable[Monomial]) -> "MonomialIdeal":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ideal import MonomialIdeal, minimalize
+from .ideal import MonomialIdeal
 
 _HEADER = re.compile(r"n\s*=\s*(\d+)\s*$")
 
@@ -60,34 +60,42 @@ def parse_rows(text: str, expected_nvars: int | None = None):
                     lineno,
                 )
             continue
-        row = []
-        for tok in re.finditer(r"\S+", line):
-            col = tok.start() + 1
-            try:
-                value = int(tok.group())
-            except ValueError:
-                raise IdealFormatError(
-                    f"exponent {tok.group()!r} is not an integer", lineno, col
-                ) from None
-            if value < 0:
-                raise IdealFormatError(
-                    f"exponent {value} is negative", lineno, col
-                )
-            row.append(value)
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError:
+            row = None
+        if row is None or min(row) < 0:
+            raise _token_error(line, lineno)
         if len(row) != nvars:
             raise IdealFormatError(
                 f"expected {nvars} exponents, got {len(row)}", lineno
             )
-        rows.append(tuple(row))
+        rows.append(row)
     if nvars is None:
         raise IdealFormatError("missing 'n=<count>' header", 1)
     return nvars, rows
 
 
+def _token_error(line: str, lineno: int) -> IdealFormatError:
+    """The error naming the first token of ``line`` that is not a
+    nonnegative integer, at its column."""
+    for tok in re.finditer(r"\S+", line):
+        col = tok.start() + 1
+        try:
+            value = int(tok.group())
+        except ValueError:
+            return IdealFormatError(
+                f"exponent {tok.group()!r} is not an integer", lineno, col
+            )
+        if value < 0:
+            return IdealFormatError(f"exponent {value} is negative", lineno, col)
+    raise RuntimeError(f"line {lineno}: every token of {line!r} is an exponent")
+
+
 def parse_ideal_details(text: str) -> ParsedIdeal:
     """Parse the text format, reporting whether the input was minimal."""
     nvars, rows = parse_rows(text)
-    ideal = minimalize(nvars, rows)
+    ideal = MonomialIdeal._from_valid(nvars, rows)
     was_minimal = len(rows) == len(set(rows)) == len(ideal.gens)
     return ParsedIdeal(ideal, was_minimal)
 
@@ -100,5 +108,5 @@ def parse_ideal(text: str) -> MonomialIdeal:
 def serialize_ideal(ideal: MonomialIdeal) -> str:
     """Render an ideal in the text format, generators in canonical order."""
     lines = [f"n={ideal.nvars}"]
-    lines.extend(" ".join(str(e) for e in g) for g in ideal.gens)
+    lines.extend(" ".join(map(str, g)) for g in ideal.gens)
     return "\n".join(lines) + "\n"

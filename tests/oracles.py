@@ -7,9 +7,10 @@ None of it shares code paths with the implementations under test.
 """
 
 import itertools
+import re
 from math import comb
 
-from polyquot import MonomialIdeal, minimalize
+from polyquot import IdealFormatError, MonomialIdeal, minimalize
 
 
 def naive_divides(u, v):
@@ -390,3 +391,48 @@ def naive_absorb_monomial(nvars, d, caps, c):
             cur[i] += 1
     start = _shifted(c, naive_capped(nvars, d - sum(c), caps))
     return start, naive_capped(nvars, d, cur), appended
+
+
+def reference_parse_rows(text, expected_nvars=None):
+    """The text format's rows, one regex match per token: the reference
+    for ``textio.parse_rows``, with its messages, lines and columns."""
+    nvars = None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if nvars is None:
+            m = re.match(r"n\s*=\s*(\d+)\s*$", line.strip())
+            if not m:
+                raise IdealFormatError(
+                    f"expected header 'n=<count>', got {line.strip()!r}", lineno
+                )
+            nvars = int(m.group(1))
+            if nvars < 1:
+                raise IdealFormatError("variable count must be positive", lineno)
+            if expected_nvars is not None and nvars != expected_nvars:
+                raise IdealFormatError(
+                    f"header declares {nvars} variables, expected "
+                    f"{expected_nvars}",
+                    lineno,
+                )
+            continue
+        row = []
+        for tok in re.finditer(r"\S+", line):
+            col = tok.start() + 1
+            try:
+                value = int(tok.group())
+            except ValueError:
+                raise IdealFormatError(
+                    f"exponent {tok.group()!r} is not an integer", lineno, col
+                ) from None
+            if value < 0:
+                raise IdealFormatError(f"exponent {value} is negative", lineno, col)
+            row.append(value)
+        if len(row) != nvars:
+            raise IdealFormatError(f"expected {nvars} exponents, got {len(row)}", lineno)
+        rows.append(tuple(row))
+    if nvars is None:
+        raise IdealFormatError("missing 'n=<count>' header", 1)
+    return nvars, rows

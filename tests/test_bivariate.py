@@ -120,6 +120,26 @@ def test_tight_factorization_examples():
     assert not is_componentwise_polymatroidal(ideal(2, (3, 0), (0, 3)))
 
 
+def test_tight_factorization_sorts_the_staircase_once(monkeypatch):
+    # the core is classified from the ideal's own staircase, shifted, and
+    # gets the class classify_tight gives the deflated core
+    calls = []
+    real = polyquot.bivariate.lex_order
+    monkeypatch.setattr(polyquot.bivariate, "lex_order", lambda I: calls.append(I) or real(I))
+    for I in iter_bivariate_antichains(5, 4):
+        calls.clear()
+        s, t, core, cls = tight_factorization(I)
+        assert calls == [I]
+        assert core == deflate(I, (s, t)) and cls == classify_tight(core)
+
+
+def test_bivariate_antichains_are_stored_canonically():
+    # the enumerator stores its generator sets as the constructor would
+    for I in iter_bivariate_antichains(5, 4):
+        ref = MonomialIdeal(2, I.gens)
+        assert I.gens == ref.gens and I.gen_set == ref.gen_set
+
+
 def test_structural_examples():
     chk = cwp_structural(ideal(2, *I3_GENS))
     assert chk and chk.valley == 4

@@ -3,10 +3,13 @@
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 
+import polyquot.ideal
 from polyquot import (
+    DegreeGuardError,
     DualExchangeViolationError,
     ExchangeWitness,
     MonomialIdeal,
@@ -32,7 +35,7 @@ from polyquot import (
 from polyquot import exchange
 from polyquot.exchange import _box_count, _componentwise_verdicts, _one_degree_failure
 from polyquot.families import iter_equigenerated_ideals, random_componentwise_sep
-from conftest import ideal, DUAL_ONLY, NONPURE_ONLY, SQUARE_REGRESSION
+from conftest import ideal, DUAL_ONLY, NONPURE_ONLY, SEVEN_GENS, SQUARE_REGRESSION
 from oracles import (
     count_bounded_compositions,
     ideal_of,
@@ -387,13 +390,7 @@ def test_exchange_box_rule_matches_naive_oracle():
                 expected = naive_exchange_witness(J, "exchange")
                 assert _one_degree_failure(J, False) == expected
                 seen["exchange " + ("holds" if expected is None else "fails")] += 1
-            first_fail, sep = None, True
-            for j in range(J.mindeg, J.maxdeg + 1):
-                comp = ideal_of(n, naive_degree_slice(J, j))
-                sep = sep and naive_exchange_witness(comp, "strong") is None
-                witness = naive_exchange_witness(comp, "exchange")
-                if first_fail is None and witness is not None:
-                    first_fail = (j, ExchangeWitness(*witness))
+            first_fail, sep = _naive_componentwise(J)
             assert is_componentwise_sep(J) == sep
             chk = is_componentwise_polymatroidal(J)
             assert chk.ok == (first_fail is None)
@@ -401,6 +398,101 @@ def test_exchange_box_rule_matches_naive_oracle():
                 assert (chk.degree, chk.witness) == first_fail
             seen["sep" if sep else "not sep"] += 1
     assert min(seen.values()) > 100, seen
+
+
+def _naive_componentwise(J):
+    """The first failing (degree, witness) of the exchange oracle over the
+    naive degree slices of J, or None, and whether every slice passes the
+    strong oracle."""
+    first_fail, sep = None, True
+    for j in range(J.mindeg, J.maxdeg + 1):
+        comp = ideal_of(J.nvars, naive_degree_slice(J, j))
+        sep = sep and naive_exchange_witness(comp, "strong") is None
+        witness = naive_exchange_witness(comp, "exchange")
+        if first_fail is None and witness is not None:
+            first_fail = (j, ExchangeWitness(*witness))
+    return first_fail, sep
+
+
+def _count_sweeps(monkeypatch):
+    """Lists growing by one entry per graded_components sweep and per
+    _pair_failure call of the library."""
+    sweeps, pair_calls = [], []
+    orig = polyquot.ideal.graded_components
+
+    def counted(*args):
+        sweeps.append(args)
+        return orig(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyquot") and vars(module).get("graded_components") is orig:
+            monkeypatch.setattr(module, "graded_components", counted)
+    real = exchange._pair_failure
+    monkeypatch.setattr(exchange, "_pair_failure", lambda *a: pair_calls.append(a) or real(*a))
+    return sweeps, pair_calls
+
+
+def test_componentwise_verdicts_are_kept_on_the_ideal(monkeypatch):
+    # a sweep asked for the exchange verdict keeps both verdicts on the
+    # ideal object; a sep-only sweep stops early and keeps nothing.  The
+    # transversal ideal's component is polymatroidal off its box (in three
+    # variables none is: a bound on two exponents' sum bounds the third
+    # from below, so every polymatroidal component fills its box)
+    cases = [
+        ideal(2, *SEVEN_GENS),  # K[x, y], positive
+        ideal(2, (3, 0), (0, 3)),  # K[x, y], negative
+        ideal(4, (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)),
+        ideal(3, *SQUARE_REGRESSION),
+        product(ideal(3, *SQUARE_REGRESSION), ideal(3, *SQUARE_REGRESSION)),
+    ]
+    oracle = [_naive_componentwise(I) for I in cases]
+    assert [(f is None, sep) for f, sep in oracle] == [
+        (True, True), (False, False), (True, False), (True, True), (False, False)]
+    sweeps, pair_calls = _count_sweeps(monkeypatch)
+    cw, sep = is_componentwise_polymatroidal, is_componentwise_sep
+
+    def verdict(pred, I, expected):
+        first_fail, strong = expected
+        if pred is sep:
+            assert sep(I) is strong
+        else:
+            chk = cw(I)
+            assert chk.ok == (first_fail is None)
+            assert (chk.degree, chk.witness) == (first_fail or (None, None))
+
+    for I, expected in zip(cases, oracle):
+        for first, second, count in ((cw, sep, 1), (sep, cw, 2), (sep, sep, 2), (cw, cw, 1)):
+            J = ideal(I.nvars, *I.gens)
+            sweeps.clear()
+            pair_calls.clear()
+            verdict(first, J, expected)
+            verdict(second, J, expected)
+            assert len(sweeps) == count, (I, first, second)
+            if first is second is sep:
+                assert pair_calls == []
+        # the joint call reads the kept pair; an equal ideal built afresh
+        # sweeps again, and what is kept leaves equality and hash alone
+        sweeps.clear()
+        strong = expected[1]
+        assert _componentwise_verdicts(J) == (cw(J), strong)
+        assert sweeps == []
+        fresh = ideal(I.nvars, *I.gens)
+        assert fresh == J and hash(fresh) == hash(J)
+        assert _componentwise_verdicts(fresh, poly=False) == (None, strong)
+        verdict(cw, fresh, expected)
+        assert len(sweeps) == 2
+
+
+def test_degree_guard_keeps_no_verdict():
+    # a sweep stopped by the degree guard keeps nothing, so the next call
+    # on the same object raises again at the same degree
+    for first, second in itertools.product(
+            (is_componentwise_polymatroidal, is_componentwise_sep), repeat=2):
+        I = ideal(2, (70, 0), (0, 1))
+        for pred in (first, second):
+            with pytest.raises(DegreeGuardError) as err:
+                pred(I)
+            assert err.value.degree == 65
 
 
 def test_strong_exchange_contradiction_guard(monkeypatch):

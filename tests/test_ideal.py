@@ -42,9 +42,12 @@ def test_minimalize_empty_is_zero():
     I = minimalize(3, [])
     assert I.is_zero
     assert len(I) == 0
+    assert MonomialIdeal._from_valid(3, []) == I
 
 
 def test_minimalize_idempotent_random():
+    # the shortcut for tuples already known valid stores what the
+    # validating constructor stores
     rng = random.Random(1)
     for _ in range(200):
         n = rng.randint(1, 4)
@@ -52,6 +55,8 @@ def test_minimalize_idempotent_random():
         I = minimalize(n, raw)
         again = minimalize(n, I.gens)
         assert I == again
+        fast = MonomialIdeal._from_valid(n, raw)
+        assert (fast.gens, fast.gen_set) == (I.gens, I.gen_set)
         # antichain: no generator divides another
         for g, h in itertools.permutations(I.gens, 2):
             assert not all(a <= b for a, b in zip(g, h))

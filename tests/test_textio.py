@@ -1,5 +1,6 @@
 """Text format round trips and parse errors."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,9 @@ from polyquot import (
     parse_ideal_details,
     serialize_ideal,
 )
+from polyquot.textio import parse_rows
 from conftest import ideal, I3_GENS
+from oracles import reference_parse_rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,3 +80,43 @@ def test_serialize_zero_ideal():
     text = serialize_ideal(zero_ideal(3))
     assert text == "n=3\n"
     assert parse_ideal(text).is_zero
+
+
+def _outcome(parse, text, expected_nvars):
+    try:
+        return "rows", parse(text, expected_nvars)
+    except IdealFormatError as exc:
+        return "error", (str(exc), exc.line, exc.column)
+
+
+def test_parse_rows_matches_reference_tokenizer():
+    # the split-and-int fast path gives the reference's rows, and its error
+    # (message, line and column) wherever a token is not a nonnegative
+    # integer; tokens int() reads (signs, underscores, non-ASCII digits) and
+    # whitespace str.split() splits on (tabs, form feeds, no-break spaces)
+    # are mixed in
+    tokens = ["0", "1", "2", "7", "12", "007", "-0", "+3", "-1", "-2", "1_0", "\u0663",
+              "x", "1.0", "0x1", "_1", "--1", "1-", "", "#", "# 1 2", "n=2"]
+    spaces = [" "] * 12 + ["  ", "\t", "\f", "\v", "\xa0", "\u3000"]
+    headers = ["n=2"] * 6 + ["n = 3", " n=3 ", "# head\nn=1", "n=0", "m=2", "n=2 1"]
+    rng = random.Random(19)
+    seen = {"rows": 0, "header or width": 0, "token": 0}
+    for _ in range(4000):
+        header = rng.choice(headers)
+        nvars = int(header[-1]) if header[-1].isdigit() else 2
+        lines = [header]
+        for _ in range(rng.randint(0, 4)):
+            width = nvars if rng.random() < 0.8 else rng.randint(0, 4)
+            cells = [rng.choice(tokens) if rng.random() < 0.1 else str(rng.randint(0, 9))
+                     for _ in range(width)]
+            line = "".join(rng.choice(spaces) + c for c in cells)
+            lines.append(line + rng.choice(["", " ", "\t", " # note"]))
+        text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])
+        expected_nvars = rng.choice([None, None, None, None, 2, 3])
+        got = _outcome(parse_rows, text, expected_nvars)
+        assert got == _outcome(reference_parse_rows, text, expected_nvars), text
+        if got[0] == "rows":
+            seen["rows"] += 1
+        else:
+            seen["token" if got[1][0].split(": ")[1].startswith("exponent") else "header or width"] += 1
+    assert min(seen.values()) > 200, seen
