@@ -26,6 +26,7 @@ from typing import Sequence, Tuple
 from .ideal import (
     MonomialIdeal,
     Monomial,
+    _by_degree,
     _times_maximal_order,
     graded_components,
     monomial_mul,
@@ -327,6 +328,7 @@ def _sep_order(ideal: MonomialIdeal):
         if failure is not None:
             raise NotComponentwiseSEPError(j, ExchangeWitness(*failure))
     factors = {j: _factor(comps[j]) for j in range(lo, hi + 1)}
+    new_gens = _by_degree(ideal.gens)
 
     order = sorted(comps[lo].gens, reverse=True)
     for j in range(lo, hi):
@@ -356,7 +358,7 @@ def _sep_order(ideal: MonomialIdeal):
                 f"composite chain for degrees {j} -> {j + 1} does not end at "
                 "the graded component"
             )
-        if set(composite.appended) != {g for g in ideal.gens if sum(g) == j + 1}:
+        if set(composite.appended) != set(new_gens.get(j + 1, ())):
             raise ChainVerificationError(
                 f"appended monomials of the degree {j + 1} chain are not the "
                 "new minimal generators"

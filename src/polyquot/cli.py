@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -63,16 +62,6 @@ EXIT_OK = 0
 EXIT_PREDICATE_FALSE = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
-
-
-def _default_budget() -> int:
-    env = os.environ.get("POLYQUOT_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"POLYQUOT_BUDGET is not an integer: {env!r}")
-    return DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_command("classify", _cmd_classify, "run every exchange predicate")
     p = add_command("order", _cmd_order, "search for an admissible order")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p = add_command("verify-order", _cmd_verify_order, "check a supplied generator order")
     p.add_argument("--order", required=True, help="file with the ordered exponent rows")
     add_command("product", _cmd_product, "multiply two ideals and classify the result",
@@ -367,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100, help="random draws (non-exhaustive)")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument(
         "--out", dest="out_path", metavar="OUT", required=True,
         help="line-delimited JSON output",

@@ -16,7 +16,6 @@ from .ideal import (
     _canonical_key,
     compositions,
     divides,
-    minimalize,
     translate,
     veronese,
 )
@@ -67,7 +66,7 @@ def iter_antichains(nvars: int, max_exp: int, max_gens: int) -> Iterator[Monomia
             if any(divides(h, g) or divides(g, h) for h in chosen):
                 continue
             chosen.append(g)
-            yield MonomialIdeal(nvars, frozenset(chosen), _trusted=True)
+            yield MonomialIdeal._from_valid(nvars, chosen)
             if len(chosen) < max_gens:
                 yield from rec(idx + 1)
             chosen.pop()
@@ -83,7 +82,7 @@ def random_antichain(
     raw = [
         tuple(rng.randint(0, max_exp) for _ in range(nvars)) for _ in range(k)
     ]
-    return minimalize(nvars, raw)
+    return MonomialIdeal._from_valid(nvars, raw)
 
 
 def _random_strict_increasing(rng: Random, count: int, lo: int, hi: int):
@@ -120,9 +119,7 @@ def random_yx_tight(
 def _draw_tight(rng: Random, max_exp: int, kind: str) -> MonomialIdeal:
     if kind == "xy":
         m = rng.randint(0, max_exp)
-        return MonomialIdeal(
-            2, frozenset((m - i, i) for i in range(m + 1)), _trusted=True
-        )
+        return MonomialIdeal._from_valid(2, [(m - i, i) for i in range(m + 1)])
     if kind == "x":
         m = rng.randint(1, max_exp)
         b = [0] + _random_strict_increasing(rng, m, 1, max_exp)
@@ -145,7 +142,7 @@ def _draw_tight(rng: Random, max_exp: int, kind: str) -> MonomialIdeal:
             + [(m - j, j)]
             + [(m - (j + 1 + t), tail_b[t]) for t in range(m - j)]
         )
-    return MonomialIdeal(2, frozenset(gens), _trusted=True)
+    return MonomialIdeal._from_valid(2, gens)
 
 
 def _random_composition(rng: Random, total: int, nvars: int):

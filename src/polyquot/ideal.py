@@ -12,6 +12,7 @@ what a call returns, nor equality or hashing.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
@@ -142,14 +143,11 @@ class MonomialIdeal:
     # sweep (exchange._componentwise_verdicts), unset until then
     __slots__ = ("nvars", "gens", "gen_set", "_verdicts")
 
-    def __init__(self, nvars: int, gens: Iterable[Monomial] = (), *, _trusted=False):
+    def __init__(self, nvars: int, gens: Iterable[Monomial] = ()):
         if nvars < 1:
             raise ValueError("number of variables must be positive")
         self.nvars = nvars
-        if _trusted:
-            kept = sorted(set(gens), key=_canonical_key)
-        else:
-            kept = _minimal_subset([_validate_monomial(nvars, g) for g in gens])
+        kept = _minimal_subset([_validate_monomial(nvars, g) for g in gens])
         self.gens = tuple(reversed(kept))
         self.gen_set = frozenset(kept)
 
@@ -168,6 +166,8 @@ class MonomialIdeal:
     def _from_valid(cls, nvars: int, raw) -> "MonomialIdeal":
         # exponent tuples already known valid (built by the library, or
         # checked by the text parser): minimalized, not validated again
+        if nvars < 1:
+            raise ValueError("number of variables must be positive")
         kept = _minimal_subset(raw)
         return cls._presorted(nvars, tuple(reversed(kept)), frozenset(kept))
 
@@ -202,11 +202,8 @@ class MonomialIdeal:
 
     @property
     def is_equigenerated(self) -> bool:
-        if self.is_zero:
-            return False
-        it = iter(self.gens)
-        d = sum(next(it))
-        return all(sum(g) == d for g in it)
+        # the canonical order is by degree, so the ends have the extremes
+        return bool(self.gens) and sum(self.gens[0]) == sum(self.gens[-1])
 
     def contains(self, u: Monomial) -> bool:
         """Membership of the monomial u in the ideal."""
@@ -279,7 +276,8 @@ def colon_by_monomial(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     if ideal.is_zero:
         raise ZeroIdealError("colon of the zero ideal is undefined here")
     u = _validate_monomial(ideal.nvars, u)
-    return MonomialIdeal(ideal.nvars, (monomial_colon(g, u) for g in ideal.gens))
+    gens = [monomial_colon(g, u) for g in ideal.gens]
+    return MonomialIdeal._from_valid(ideal.nvars, gens)
 
 
 def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -291,9 +289,9 @@ def product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if I.nvars != J.nvars:
         raise ValueError(f"variable counts differ: {I.nvars} vs {J.nvars}")
     if I.is_zero or J.is_zero:
-        return MonomialIdeal(I.nvars, (), _trusted=True)
+        return zero_ideal(I.nvars)
     prods = {monomial_mul(g, h) for g in I.gens for h in J.gens}
-    return MonomialIdeal(I.nvars, prods)
+    return MonomialIdeal._from_valid(I.nvars, prods)
 
 
 def translate(ideal: MonomialIdeal, u: Monomial) -> MonomialIdeal:
@@ -335,34 +333,41 @@ def graded_component(ideal: MonomialIdeal, j: int) -> MonomialIdeal:
     return MonomialIdeal._equigenerated(n, found)
 
 
+def _by_degree(gens) -> dict:
+    """The canonical generators grouped by degree, highest degree first."""
+    return {d: tuple(layer) for d, layer in groupby(gens, sum)}
+
+
 def graded_components(ideal: MonomialIdeal) -> Iterator[tuple]:
     """Yield (j, I_<j>) for j = mindeg..maxdeg, each stepped up from the last.
 
-    I_<mindeg> holds the generators of degree mindeg, and I_<j+1> is
-    {x_r * w : w in G(I_<j>)} (:func:`_times_maximal_order`) together with
-    the generators of degree j+1.
-    Components beyond maxdeg are products with the maximal ideal, so the
-    componentwise predicates need none of them.  ``DegreeGuardError`` is
-    raised only on reaching a degree beyond ``DEGREE_GUARD``.  For one
-    high degree alone, :func:`graded_component` is faster.
+    From the zero component below mindeg up, I_<j> is {x_r * w : w in
+    G(I_<j-1>)} (:func:`_times_maximal_order`) with the generators of
+    degree j.  Components beyond maxdeg are products with the maximal
+    ideal, so the componentwise predicates need none of them.
+    ``DegreeGuardError`` is raised only on reaching a degree beyond
+    ``DEGREE_GUARD``.  For one high degree alone, :func:`graded_component`
+    is faster.
     """
     n = ideal.nvars
-    j = ideal.mindeg
-    comp = graded_component(ideal, j)
-    yield j, comp
-    for j in range(j + 1, ideal.maxdeg + 1):
+    new_gens = _by_degree(ideal.gens)
+    gens: tuple = ()
+    for j in range(ideal.mindeg, ideal.maxdeg + 1):
         guard_degree(j)
-        new = tuple(g for g in ideal.gens if sum(g) == j)
-        comp = MonomialIdeal._equigenerated(n, _times_maximal_order(comp.gens, n) + new)
+        comp = MonomialIdeal._equigenerated(
+            n, _times_maximal_order(gens, n) + new_gens.get(j, ())
+        )
+        gens = comp.gens
         yield j, comp
 
 
 def _times_maximal_order(order: tuple, nvars: int) -> tuple:
     """The generators of m * (u_1, ..., u_k) for an equigenerated
     u_1, ..., u_k: for i = 1..k, the products x_r * u_i (r = 0..n-1) not
-    listed earlier.  This is the step of :func:`graded_components`; when
-    u_1, ..., u_k is an admissible order, so is this listing (the proof is
-    in :func:`polyquot.quotients.has_componentwise_linear_quotients`).
+    listed earlier.  This is the step of :func:`graded_components` and of
+    the sweep of :func:`polyquot.quotients.has_componentwise_linear_quotients`,
+    which proves that when u_1, ..., u_k is an admissible order, so is
+    this listing.
     """
     out = {}
     for u in order:
@@ -402,14 +407,12 @@ def veronese(nvars: int, d: int, caps: Sequence[int]) -> MonomialIdeal:
 
 def maximal_ideal(nvars: int) -> MonomialIdeal:
     """The ideal (x_1, ..., x_n)."""
-    return MonomialIdeal(
-        nvars, frozenset(variable(nvars, i) for i in range(nvars)), _trusted=True
-    )
+    return MonomialIdeal._from_valid(nvars, [variable(nvars, i) for i in range(nvars)])
 
 
 def unit_ideal(nvars: int) -> MonomialIdeal:
-    return MonomialIdeal(nvars, (unit_monomial(nvars),), _trusted=True)
+    return MonomialIdeal._from_valid(nvars, (unit_monomial(nvars),))
 
 
 def zero_ideal(nvars: int) -> MonomialIdeal:
-    return MonomialIdeal(nvars, (), _trusted=True)
+    return MonomialIdeal._from_valid(nvars, ())

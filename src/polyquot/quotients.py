@@ -26,14 +26,14 @@ joined to the ones below by exchange steps (``_exchange_unreached``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .ideal import (
     MonomialIdeal,
     Monomial,
     ZeroIdealError,
+    _by_degree,
     _times_maximal_order,
     graded_component,
     guard_degree,
@@ -289,11 +289,6 @@ def _exchange_unreached(universe, colon_bits, reached) -> Optional[Monomial]:
     return universe[(missed & -missed).bit_length() - 1] if missed else None
 
 
-def _layers(gens) -> dict:
-    """The canonical generators by degree, highest degree first."""
-    return {d: tuple(layer) for d, layer in groupby(gens, sum)}
-
-
 def _decide_layer(lower: tuple, new: tuple, budget: int):
     """(status, order, nodes, v) for the generators ``new`` of one degree
     ordered after the lower generators ``lower``, all one antichain.  A
@@ -329,7 +324,7 @@ def find_admissible_order(
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no generator ordering")
     lower, order, nodes = (), (), 0
-    for new in reversed(_layers(ideal.gens).values()):
+    for new in reversed(_by_degree(ideal.gens).values()):
         status, part, used, v = _decide_layer(lower, new, budget - nodes)
         if v is not None:
             return SearchOutcome(EXHAUSTED, None, 0, ((lower or new)[0], v))
@@ -376,32 +371,6 @@ def _replay_layers(layers, budget: int) -> SearchOutcome:
     return SearchOutcome(FOUND, order, nodes)
 
 
-def _decide_stepped(lower: tuple, below: tuple, new: tuple, nvars: int, budget: int):
-    """(outcome, component, layer) for I_<j> = m * I_<j-1> + (new), with
-    ``lower`` G(I)_<j, ``below`` an admissible order of I_<j-1>, ``new``
-    the generators of I of degree j and layer their search's (status,
-    nodes, part); the base, m * I_<j-1> listed from ``below``, is built
-    only when it is read, and the component only when it is searched
-    whole.  The four steps and their proofs are in
-    :func:`has_componentwise_linear_quotients`.
-    """
-    status, order, nodes, v = (
-        _decide_layer(lower, new, budget) if new else (FOUND, (), 0, None)
-    )
-    if v is not None:  # the base's first member is x_1 * below[0]
-        first = (below[0][0] + 1,) + below[0][1:]
-        return SearchOutcome(EXHAUSTED, None, 0, (first, v)), None, None
-    base = _times_maximal_order(below, nvars)
-    layer = (status, nodes, order)
-    if status == FOUND:
-        return SearchOutcome(FOUND, base + order, nodes), None, layer
-    comp = MonomialIdeal._equigenerated(nvars, base + new)
-    whole = find_admissible_order(comp, budget)
-    return SearchOutcome(
-        whole.status, whole.order, nodes + whole.nodes, whole.witness
-    ), comp, layer
-
-
 def has_componentwise_linear_quotients(
     ideal: MonomialIdeal, budget: int = DEFAULT_BUDGET
 ) -> ComponentwiseLQ:
@@ -412,7 +381,8 @@ def has_componentwise_linear_quotients(
     lowest component is built with :func:`graded_component` and searched
     by :func:`find_admissible_order`.  Each later I_<j> is stepped up from
     the one below, I_<j> = m * I_<j-1> + (N) with N the generators of I of
-    degree j.
+    degree j, in one loop that keeps one listing of G(I_<j-1>): the order
+    found for it, or, when it was not found, the listing it was built from.
 
     The colon lemma.  For v of degree j, not in (G(I)_<j), and T a set of
     degree-j monomials, (G(I)_<j + T) : v = (m * I_<j-1> + T) : v.  The
@@ -427,7 +397,7 @@ def has_componentwise_linear_quotients(
     set is.
 
     Above a found component, I_<j> is decided from G(I)_<j, gathered
-    from the degrees already swept, and N (see :func:`_decide_stepped`):
+    from the degrees already swept, and N:
 
     1. Base.  :func:`_times_maximal_order` of the order below is an
        admissible order of m * I_<j-1> (Sharifan-Varbaro 2008; cf.
@@ -436,7 +406,8 @@ def has_componentwise_linear_quotients(
        u_l' : u_i = x_t, l' < i.  So x_t * u_i = x_q * u_l' is listed
        before w, and its colon is x_t; an earlier x_s * u_i has colon x_s.
        With N empty (a pure step) the base is the outcome, with 0 nodes.
-       Otherwise N is decided after G(I)_<j> by :func:`_decide_layer`.
+       Otherwise N is decided after G(I)_<j> by :func:`_decide_layer`,
+       and the base is listed only once its refuter has passed.
     2. Refuter.  An admissible order of I_<j> joins all of it by exchange
        steps (see :func:`_exchange_unreached`), and by the lemma a member
        of N is one step from the base iff it is one from G(I)_<j>.  So a
@@ -452,8 +423,9 @@ def has_componentwise_linear_quotients(
        proof that the extension always exists would settle whether
        componentwise linear quotients imply linear quotients.
 
-    Above a component that is not found, I_<j> is built and searched by
-    :func:`find_admissible_order`.  The verdict is False as soon as one
+    Above a component that is not found, the base is listed from the
+    listing it was built from, and the base and N are searched as in
+    step 4, with no extension nodes.  The verdict is False as soon as one
     component is exhausted, None when a component ran out of budget and
     none was exhausted, True otherwise.  A component decided by steps 1-3
     has an admissible order, so against a search of every component a
@@ -472,27 +444,39 @@ def has_componentwise_linear_quotients(
     if ideal.is_zero:
         raise ZeroIdealError("predicate undefined on the zero ideal")
     n = ideal.nvars
-    new_gens = _layers(ideal.gens)
+    new_gens = _by_degree(ideal.gens)
     outcomes: dict[int, SearchOutcome] = {}
     saw_budget, layers = False, []
-    res = comp = None
-    lower: tuple = ()
+    res = None
+    lower = listing = ()
     for j in range(ideal.mindeg, ideal.maxdeg + 1):
         new = new_gens.get(j, ())
         if res is None:
             comp = graded_component(ideal, j)
-            res = find_admissible_order(comp, budget)
+            listing, res = comp.gens, find_admissible_order(comp, budget)
             layers.append((res.status, res.nodes, res.order))
         else:
             guard_degree(j)
-            if res.status == FOUND:
-                res, comp, layer = _decide_stepped(lower, res.order, new, n, budget)
-                layers.append(layer)
+            # below a component not found there is no order to extend: its
+            # status sends I_<j> to the whole search
+            status, part, nodes, v = (
+                _decide_layer(lower, new, budget) if new and res.status == FOUND
+                else (res.status, (), 0, None)
+            )
+            layers.append((status, nodes, part))
+            if v is not None:  # the base's first member is x_1 * listing[0]
+                first = (listing[0][0] + 1,) + listing[0][1:]
+                res = SearchOutcome(EXHAUSTED, None, 0, (first, v))
+            elif status == FOUND:
+                listing = _times_maximal_order(listing, n)
+                res = SearchOutcome(FOUND, listing + part, nodes)
             else:
-                comp = MonomialIdeal._equigenerated(
-                    n, _times_maximal_order(comp.gens, n) + new
-                )
-                res = find_admissible_order(comp, budget)
+                listing = _times_maximal_order(listing, n) + new
+                comp = MonomialIdeal._equigenerated(n, listing)
+                whole = find_admissible_order(comp, budget)
+                res = replace(whole, nodes=nodes + whole.nodes)
+        if res.status == FOUND:
+            listing = res.order
         lower += new
         outcomes[j] = res
         if res.status == EXHAUSTED:

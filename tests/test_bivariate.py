@@ -88,8 +88,8 @@ def test_i3_splits_at_the_join():
     # the join a shifted x-tight ideal
     I3 = ideal(2, *I3_GENS)
     seq = lex_order(I3)
-    head = deflate(MonomialIdeal(2, seq[:5], _trusted=True), (6, 0))
-    tail = deflate(MonomialIdeal(2, seq[4:], _trusted=True), (0, 4))
+    head = deflate(MonomialIdeal(2, seq[:5]), (6, 0))
+    tail = deflate(MonomialIdeal(2, seq[4:]), (0, 4))
     ch = classify_tight(head)
     ct = classify_tight(tail)
     assert ch.kind == Y_TIGHT and ch.interval == (0, 4)
@@ -264,8 +264,8 @@ def split_at_join(I):
     j = cls.join_indices[0]
     m = cls.interval[1]
     seq = lex_order(I)
-    head = MonomialIdeal(2, seq[: j + 1], _trusted=True)   # x^(m-j) * P
-    tail = MonomialIdeal(2, seq[j:], _trusted=True)        # y^j * K
+    head = MonomialIdeal(2, seq[: j + 1])   # x^(m-j) * P
+    tail = MonomialIdeal(2, seq[j:])        # y^j * K
     P = deflate(head, (m - j, 0))
     K = deflate(tail, (0, j))
     return j, m, P, K

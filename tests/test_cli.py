@@ -565,17 +565,13 @@ def test_search_records_are_flagged(tmp_path):
             assert not naive_has_admissible_order(embedded, cap=7)
 
 
-def test_budget_env_override(tmp_path, capsys, monkeypatch):
+def test_budget_option(tmp_path, capsys):
     I = ideal(2, *SEVEN_GENS)
     path = write_ideal(tmp_path, "i.txt", I)
-    monkeypatch.setenv("POLYQUOT_BUDGET", "2")
-    code = main(["order", "--input", path])
+    code = main(["order", "--input", path, "--budget", "2"])
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "budget-exceeded"
     assert code == 3
-    monkeypatch.setenv("POLYQUOT_BUDGET", "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["order", "--input", path])
 
 
 def test_search_symmetry_reduction(tmp_path):

@@ -23,7 +23,8 @@ from polyquot import (
     veronese,
     zero_ideal,
 )
-from polyquot.ideal import divides, unit_monomial
+from polyquot.families import random_antichain
+from polyquot.ideal import divides, monomial_colon, monomial_mul, unit_monomial
 from conftest import ideal, NONPURE_ONLY
 from oracles import (
     count_bounded_compositions,
@@ -118,7 +119,7 @@ def test_divisibility_kernel_matches_naive_oracles():
         minimal = {g for g in raw if not any(h != g and naive_divides(h, g) for h in raw)}
         assert I.gen_set == minimal
         assert I.gens == tuple(sorted(minimal, key=lambda g: (sum(g), g), reverse=True))
-        assert MonomialIdeal(n, minimal, _trusted=True).gens == I.gens
+        assert MonomialIdeal._from_valid(n, minimal).gens == I.gens
         for J in (I, unit_ideal(n)):
             for _ in range(5):
                 u = tuple(rng.randint(0, 4) for _ in range(n))
@@ -127,6 +128,33 @@ def test_divisibility_kernel_matches_naive_oracles():
                     g = rng.choice(raw)
                     assert divides(g, u) == naive_divides(g, u)
                     assert divides(u, g) == naive_divides(u, g)
+
+
+def test_library_built_ideals_match_the_validating_constructor():
+    # product, colon_by_monomial and random_antichain skip validating the
+    # exponent tuples they build; each must store what the validating
+    # constructor stores for the same tuples, and is_equigenerated must
+    # agree with the generator degrees
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        I, J = random_antichain(rng, n, 3, 5), random_antichain(rng, n, 3, 5)
+        u = tuple(rng.randint(0, 4) for _ in range(n))
+        state = rng.getstate()
+        drawn = random_antichain(rng, n, 3, 5)
+        rng.setstate(state)
+        k = rng.randint(1, 5)
+        raw = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(k)]
+        for built, tuples in (
+            (product(I, J), [monomial_mul(g, h) for g in I.gens for h in J.gens]),
+            (product(I, zero_ideal(n)), []),
+            (colon_by_monomial(I, u), [monomial_colon(g, u) for g in I.gens]),
+            (drawn, raw),
+        ):
+            ref = MonomialIdeal(n, tuples)
+            assert (built.nvars, built.gens, built.gen_set) == (
+                ref.nvars, ref.gens, ref.gen_set)
+            assert built.is_equigenerated == (len({sum(g) for g in ref.gens}) == 1)
 
 
 def test_colon_examples():
@@ -237,7 +265,12 @@ def test_graded_component_guard():
         graded_component(ideal(2, (1, 0)), 65)
 
 
-def test_graded_components_match_component_and_slice_oracle():
+def test_graded_components_match_component_and_slice_oracle(monkeypatch):
+    # the sweep steps every component up from the zero one below mindeg,
+    # without graded_component
+    import polyquot.ideal
+
+    monkeypatch.setattr(polyquot.ideal, "graded_component", None)
     rng = random.Random(23)
     for _ in range(80):
         n = rng.randint(1, 4)

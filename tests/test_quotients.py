@@ -606,3 +606,45 @@ def test_stepped_extension_against_lower_generators():
                 assert (out.status, out.order, out.nodes) == (
                     FOUND, base + ref[1], ref[2])
     assert compared > 300 and found > 200
+
+
+def test_sweep_searches_and_lists_only_what_it_must(monkeypatch):
+    # per sweep, find_admissible_order runs once for the lowest component
+    # and once per degree searched whole; m * I_<j-1> is listed
+    # (_times_maximal_order) for every later degree but one the refuter
+    # decides, since the listing is built only after the refuter passes.
+    # Which degrees are refuted or searched whole comes from the oracles:
+    # above a found component the refuter fires iff the degree slice is
+    # not exchange-connected, and the extension is the reference search
+    import polyquot.quotients as quotients
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("find_admissible_order", "_times_maximal_order"):
+        monkeypatch.setattr(quotients, name, counted(name, getattr(quotients, name)))
+    wholes = refuted = 0
+    for I, budget in componentwise_corpus():
+        calls.update(find_admissible_order=0, _times_maximal_order=0)
+        cw = has_componentwise_linear_quotients(I, budget)
+        whole = listed = 0
+        for j in list(cw.outcomes)[1:]:
+            new = tuple(g for g in I.gens if sum(g) == j)
+            if cw.outcomes[j - 1].status != FOUND:
+                whole += 1
+            elif new and not naive_exchange_connected(sorted(naive_degree_slice(I, j))):
+                refuted += 1
+                continue
+            elif new:
+                lower = tuple(g for g in I.gens if sum(g) < j)
+                whole += naive_search_extension(lower, new, budget)[0] != FOUND
+            listed += 1
+        wholes += whole
+        assert calls == {"find_admissible_order": 1 + whole,
+                         "_times_maximal_order": listed}
+    assert wholes > 0 and refuted > 100

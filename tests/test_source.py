@@ -54,3 +54,24 @@ def test_library_keeps_no_module_level_cache():
             ):
                 found.append(f"{path.name}:{node.lineno} module-level container")
     assert found == []
+
+
+def test_library_reads_no_environment():
+    # every setting reaches the library as an argument or a command-line
+    # option, never through an environment variable
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used = node.attr if getattr(node.value, "id", None) == "os" else None
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                used = next((a.name for a in node.names
+                             if a.name in ("environ", "getenv")), None)
+            else:
+                continue
+            if used in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno} os.{used}")
+    assert found == []
