@@ -64,13 +64,6 @@ class StructuralCheck:
         return self.ok
 
 
-def _require_bivariate(ideal: MonomialIdeal) -> None:
-    if ideal.nvars != 2:
-        raise ValueError(f"expected 2 variables, got {ideal.nvars}")
-    if ideal.is_zero:
-        raise ZeroIdealError("bivariate classification needs a nonzero ideal")
-
-
 def lex_order(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
     """Minimal generators sorted by strictly decreasing x-exponent.
 
@@ -78,7 +71,10 @@ def lex_order(ideal: MonomialIdeal) -> Tuple[Monomial, ...]:
     same sequence; both chains are checked, and a break raises
     ``RuntimeError``.
     """
-    _require_bivariate(ideal)
+    if ideal.nvars != 2:
+        raise ValueError(f"expected 2 variables, got {ideal.nvars}")
+    if ideal.is_zero:
+        raise ZeroIdealError("bivariate classification needs a nonzero ideal")
     gens = sorted(ideal.gens, reverse=True)
     for (a1, b1), (a2, b2) in zip(gens, gens[1:]):
         if not (a1 > a2 and b1 < b2):
@@ -143,8 +139,7 @@ def tight_factorization(ideal: MonomialIdeal):
     Returns (s, t, J, tight class of J).  I is componentwise
     polymatroidal exactly when the class is yx-tight.
     """
-    _require_bivariate(ideal)
-    gens = lex_order(ideal)
+    gens = lex_order(ideal)  # refuses a non-bivariate or zero ideal
     s = gens[-1][0]
     t = gens[0][1]
     core = deflate(ideal, (s, t))
@@ -160,7 +155,11 @@ def cwp_structural(ideal: MonomialIdeal) -> StructuralCheck:
     exponents to move by exactly 1; and the degree sequence must fall to
     a single valley and rise after it.
     """
-    gens = lex_order(ideal)
+    return _structural(lex_order(ideal))
+
+
+def _structural(gens) -> StructuralCheck:
+    """:func:`cwp_structural` of the ideal with staircase ``gens``."""
     for (a1, b1), (a2, b2) in zip(gens, gens[1:]):
         d1, d2 = a1 + b1, a2 + b2
         if d1 > d2:
@@ -197,7 +196,8 @@ def valley_order(ideal: MonomialIdeal, valley: Optional[int] = None) -> Generato
     ``valley`` overrides the turning index and must be one of the valid
     valleys reported by :func:`cwp_structural`.
     """
-    chk = cwp_structural(ideal)
+    gens = lex_order(ideal)
+    chk = _structural(gens)
     if not chk:
         raise ValueError(
             "ideal is not componentwise polymatroidal; no pivot order exists"
@@ -206,7 +206,6 @@ def valley_order(ideal: MonomialIdeal, valley: Optional[int] = None) -> Generato
         valley = chk.valley
     elif valley not in chk.valleys:
         raise ValueError(f"valley {valley} not in valid range {chk.valleys}")
-    gens = lex_order(ideal)
     m = len(gens) - 1
     seq = list(gens[valley:]) + list(gens[valley - 1 :: -1] if valley else [])
     # the theorem's exact colons: (x) along the tail, (y) along the head;

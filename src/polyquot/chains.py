@@ -27,6 +27,7 @@ from .ideal import (
     MonomialIdeal,
     Monomial,
     _by_degree,
+    _capped_caps,
     _times_maximal_order,
     graded_components,
     monomial_mul,
@@ -73,10 +74,10 @@ class ReconstructionError(RuntimeError):
 class VeroneseSpec:
     """Degree d plus per-variable caps describing a capped ideal.
 
-    Caps are clamped to d on construction so equal ideals get equal
-    specs.  Specs describing the zero ideal are rejected; degree 0
-    (the unit ideal) is allowed so that principal ideals factor.  The
-    ideal is built on the first call of :meth:`ideal` and kept.
+    Checked and clamped to d as :func:`veronese` does, so equal ideals get
+    equal specs.  Specs of the zero ideal are also rejected; degree 0 (the
+    unit ideal) is allowed so that principal ideals factor.  The ideal is
+    built on the first call of :meth:`ideal` and kept.
     """
 
     nvars: int
@@ -85,16 +86,7 @@ class VeroneseSpec:
     _ideal: MonomialIdeal = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.nvars < 1:
-            raise ValueError("number of variables must be positive")
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
-        caps = tuple(self.caps)
-        if len(caps) != self.nvars:
-            raise ValueError(f"expected {self.nvars} caps, got {len(caps)}")
-        if any(c < 0 for c in caps):
-            raise ValueError("caps must be nonnegative")
-        caps = tuple(min(c, self.degree) for c in caps)
+        caps = _capped_caps(self.nvars, self.degree, self.caps)
         if sum(caps) < self.degree:
             raise ValueError("caps sum below the degree: the ideal is zero")
         object.__setattr__(self, "caps", caps)
@@ -128,9 +120,8 @@ def verify_chain(start: MonomialIdeal, end: MonomialIdeal,
         raise ChainVerificationError(
             "start generators are not minimal generators of the end ideal"
         )
-    if set(appended) != end.gen_set - start.gen_set or len(appended) != len(
-        end.gen_set - start.gen_set
-    ):
+    fresh = end.gen_set - start.gen_set
+    if set(appended) != fresh or len(appended) != len(fresh):
         raise ChainVerificationError(
             "appended sequence does not cover G(end) minus G(start)"
         )
@@ -330,7 +321,7 @@ def _sep_order(ideal: MonomialIdeal):
     factors = {j: _factor(comps[j]) for j in range(lo, hi + 1)}
     new_gens = _by_degree(ideal.gens)
 
-    order = sorted(comps[lo].gens, reverse=True)
+    order = list(comps[lo].gens)  # descending lex, as stored
     for j in range(lo, hi):
         u, spec_u = factors[j]
         v, spec_v = factors[j + 1]

@@ -131,17 +131,24 @@ def _emit(report: dict, args, ideal: Optional[MonomialIdeal] = None) -> None:
         print(serialize_ideal(ideal), end="")
 
 
-def _componentwise_entries(ideal: MonomialIdeal, sep: bool = True):
+def _componentwise_entries(ideal: MonomialIdeal):
     """The ``componentwise_polymatroidal`` and ``componentwise_sep`` entries
-    from one sweep (the second None without ``sep``) and the exit code.  A
-    sweep that reaches the degree guard skips both, inconclusively."""
+    from one sweep and the exit code.  A sweep that reaches the degree
+    guard skips both, inconclusively."""
     try:
-        cw, strong = _componentwise_verdicts(ideal, sep=sep)
+        cw, strong = _componentwise_verdicts(ideal)
     except DegreeGuardError as exc:
         # only the componentwise verdicts need the components
         skipped = {"skipped": "degree-guard", "degree": exc.degree}
         return skipped, skipped, EXIT_INCONCLUSIVE
     return _check_json(cw, degree=cw.degree), {"ok": strong}, EXIT_OK
+
+
+def _tight_entries(ideal: MonomialIdeal):
+    """The tight class and the ``bivariate`` entries classify and product share."""
+    s, t, _, cls = tight_factorization(ideal)
+    return cls, {"shift_monomial": [s, t], "kind": cls.kind,
+                 "join_indices": list(cls.join_indices)}
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +175,11 @@ def _cmd_classify(args) -> int:
             verdicts["strong_exchange"] = _check_json(satisfies_strong_exchange(ideal))
     report = _report("classify", parsed, warnings=True, verdicts=verdicts)
     if ideal.nvars == 2:
-        s, t, core, cls = tight_factorization(ideal)
+        cls, report["bivariate"] = _tight_entries(ideal)
         st = cwp_structural(ideal)
-        report["bivariate"] = {
-            "shift_monomial": [s, t],
-            "kind": cls.kind,
-            "join_indices": list(cls.join_indices),
-            "interval": list(cls.interval),
-            "structural_ok": st.ok,
-            "valley": st.valley,
-        }
+        report["bivariate"].update(
+            interval=list(cls.interval), structural_ok=st.ok, valley=st.valley
+        )
     report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     _emit(report, args)
     return code
@@ -240,15 +242,10 @@ def _cmd_product(args) -> int:
     report = _report("product", pa, pb, product=_digest(result))
     code = EXIT_OK
     if not result.is_zero:
-        cw, _, code = _componentwise_entries(result, sep=False)
+        cw, _, code = _componentwise_entries(result)
         report["componentwise_polymatroidal"] = cw
         if result.nvars == 2:
-            s, t, core, cls = tight_factorization(result)
-            report["bivariate"] = {
-                "shift_monomial": [s, t],
-                "kind": cls.kind,
-                "join_indices": list(cls.join_indices),
-            }
+            report["bivariate"] = _tight_entries(result)[1]
     _emit(report, args, result)
     return code
 

@@ -256,7 +256,7 @@ def is_componentwise_polymatroidal(ideal: MonomialIdeal) -> ComponentCheck:
     maximal ideal with the previous component, and products of
     polymatroidal ideals stay polymatroidal.
     """
-    return _componentwise_verdicts(ideal, sep=False)[0]
+    return _componentwise_verdicts(ideal)[0]
 
 
 def is_componentwise_sep(ideal: MonomialIdeal) -> bool:
@@ -265,26 +265,25 @@ def is_componentwise_sep(ideal: MonomialIdeal) -> bool:
     return _componentwise_verdicts(ideal, poly=False)[1]
 
 
-def _componentwise_verdicts(ideal: MonomialIdeal, poly=True, sep=True):
+def _componentwise_verdicts(ideal: MonomialIdeal, poly=True):
     """(is_componentwise_polymatroidal(ideal), is_componentwise_sep(ideal))
-    from one sweep over the graded components; a verdict not asked for is
-    None.
+    from one sweep over the graded components.
 
     A component filling its box u * I_(d'; a) passes both; only such
     components have strong exchange (Herzog-Hibi), so the box alone gives
     the strong verdict.  The pair sweep runs on the other components, and
-    only while the exchange verdict is asked for.  Such a sweep gives both
-    verdicts, so it keeps the pair on the ideal object, and later calls on
-    that object read it instead of sweeping.  A sweep for the strong
-    verdict alone stops at the first component off its box and keeps
-    nothing; so does a sweep that raises ``DegreeGuardError``.
+    only with ``poly``.  Such a sweep gives both verdicts, so it keeps the
+    pair on the ideal object, and later calls on that object read it
+    instead of sweeping.  Without ``poly`` a sweep stops at the first
+    component off its box, gives None for the exchange check and keeps
+    nothing, as does a sweep that raises ``DegreeGuardError``.
     """
     kept = getattr(ideal, "_verdicts", None)
     if kept is None:
         kept = _sweep_components(ideal, poly)
         if poly:
             ideal._verdicts = kept
-    return (kept[0] if poly else None), (kept[1] if sep else None)
+    return kept
 
 
 def _sweep_components(ideal: MonomialIdeal, poly: bool):

@@ -43,10 +43,6 @@ class DegreeGuardError(ValueError):
 # monomial helpers
 
 
-def degree(u: Monomial) -> int:
-    return sum(u)
-
-
 def divides(u: Monomial, v: Monomial) -> bool:
     """True if u divides v componentwise."""
     return all(map(le, u, v))
@@ -190,15 +186,17 @@ class MonomialIdeal:
 
     @property
     def mindeg(self) -> int:
+        """The last generator's degree: the canonical order descends by degree."""
         if self.is_zero:
             raise ZeroIdealError("zero ideal has no generator degrees")
-        return min(sum(g) for g in self.gens)
+        return sum(self.gens[-1])
 
     @property
     def maxdeg(self) -> int:
+        """The first generator's degree (see :attr:`mindeg`)."""
         if self.is_zero:
             raise ZeroIdealError("zero ideal has no generator degrees")
-        return max(sum(g) for g in self.gens)
+        return sum(self.gens[0])
 
     @property
     def is_equigenerated(self) -> bool:
@@ -385,12 +383,8 @@ def guard_degree(j: int) -> None:
         raise DegreeGuardError(j)
 
 
-def veronese(nvars: int, d: int, caps: Sequence[int]) -> MonomialIdeal:
-    """The capped degree-d ideal: all degree-d monomials u with u_i <= caps[i].
-
-    Zero ideal when the caps cannot reach degree d.  ``d = 0`` gives the
-    unit ideal.
-    """
+def _capped_caps(nvars: int, d: int, caps: Sequence[int]) -> tuple:
+    """The caps of I_(d; caps) clamped to d, after refusing bad parameters."""
     if nvars < 1:
         raise ValueError("number of variables must be positive")
     if d < 0:
@@ -400,8 +394,17 @@ def veronese(nvars: int, d: int, caps: Sequence[int]) -> MonomialIdeal:
         raise ValueError(f"expected {nvars} caps, got {len(caps)}")
     if any(c < 0 for c in caps):
         raise ValueError("caps must be nonnegative")
+    return tuple([min(c, d) for c in caps])
+
+
+def veronese(nvars: int, d: int, caps: Sequence[int]) -> MonomialIdeal:
+    """The capped degree-d ideal: all degree-d monomials u with u_i <= caps[i].
+
+    Zero ideal when the caps cannot reach degree d, the unit ideal when
+    d = 0.  The parameters are checked as ``chains.VeroneseSpec`` checks them.
+    """
     # descending lex, the canonical order within one degree
-    gens = [*bounded_compositions(d, tuple([min(c, d) for c in caps]))]
+    gens = bounded_compositions(d, _capped_caps(nvars, d, caps))
     return MonomialIdeal._presorted(nvars, tuple(gens))
 
 

@@ -20,7 +20,7 @@ from random import Random
 from typing import Optional
 
 from .families import iter_antichains, random_antichain
-from .ideal import MonomialIdeal
+from .ideal import MonomialIdeal, _canonical_key
 from .quotients import EXHAUSTED, FOUND, has_componentwise_linear_quotients
 
 SCHEMA = 1
@@ -76,13 +76,8 @@ def _is_orbit_representative(ideal: MonomialIdeal) -> bool:
     """Is this ideal the least of its variable permutations, in canonical form?"""
     base = ideal.gens
     for perm in itertools.permutations(range(ideal.nvars)):
-        permuted = tuple(
-            sorted(
-                (tuple(g[p] for p in perm) for g in base),
-                key=lambda g: (sum(g), g),
-                reverse=True,
-            )
-        )
+        permuted = tuple(sorted((tuple(g[p] for p in perm) for g in base),
+                                key=_canonical_key, reverse=True))
         if permuted < base:
             return False
     return True

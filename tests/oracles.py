@@ -201,6 +201,68 @@ def naive_exchange_connected(gens):
     return naive_exchange_part(gens, gens[0]) >= set(gens)
 
 
+def mcs_chordal(nvertices, edges):
+    """Is the graph on vertices 0..nvertices-1 with ``edges`` chordal?
+
+    Maximum cardinality search (Tarjan-Yannakakis, SIAM J. Comput. 13,
+    1984) visits the vertices one at a time, always one with the most
+    visited neighbours.  A graph is chordal iff that visit order, reversed,
+    is a perfect elimination order: the neighbours of each vertex visited
+    before it are pairwise adjacent.
+    """
+    adj = [set() for _ in range(nvertices)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    visited = []
+    weight = [0] * nvertices
+    left = set(range(nvertices))
+    while left:
+        v = max(sorted(left), key=weight.__getitem__)
+        left.remove(v)
+        for u in adj[v]:
+            weight[u] += 1
+        earlier = adj[v].intersection(visited)
+        if any(b not in adj[a] for a in earlier for b in earlier if a != b):
+            return False
+        visited.append(v)
+    return True
+
+
+def mcs_cochordal(nvertices, edges):
+    """Is the complement of the graph chordal (see :func:`mcs_chordal`)?"""
+    edges = {frozenset(e) for e in edges}
+    return mcs_chordal(nvertices, [
+        e for e in itertools.combinations(range(nvertices), 2)
+        if frozenset(e) not in edges
+    ])
+
+
+def naive_chordal(nvertices, edges):
+    """Chordality from the definition: no induced cycle of length >= 4.
+
+    A vertex set of size >= 4 spans an induced cycle iff each of its
+    vertices has exactly two neighbours in it and it is connected.
+    """
+    adj = [set() for _ in range(nvertices)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for size in range(4, nvertices + 1):
+        for subset in itertools.combinations(range(nvertices), size):
+            inside = set(subset)
+            if any(len(adj[v] & inside) != 2 for v in subset):
+                continue
+            reached, stack = {subset[0]}, [subset[0]]
+            while stack:
+                for u in adj[stack.pop()] & inside - reached:
+                    reached.add(u)
+                    stack.append(u)
+            if reached == inside:
+                return False
+    return True
+
+
 def ideal_of(nvars, gens):
     return minimalize(nvars, gens)
 

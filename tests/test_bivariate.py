@@ -214,8 +214,8 @@ def test_valley_order_checks_its_colons(monkeypatch):
     assert cwp_structural(I).valleys == (4,)
     for wrong in (0, 3, 6):
         monkeypatch.setattr(
-            polyquot.bivariate, "cwp_structural",
-            lambda J, v=wrong: StructuralCheck(True, v, (v,)),
+            polyquot.bivariate, "_structural",
+            lambda gens, v=wrong: StructuralCheck(True, v, (v,)),
         )
         with pytest.raises(RuntimeError, match="colon at position"):
             valley_order(I)

@@ -50,6 +50,35 @@ def test_spec_normalization_and_validation():
         VeroneseSpec(2, 2, (1,))
 
 
+# (nvars, d, caps) a capped ideal is refused for, and the message; where
+# several checks fail, the first in this order speaks
+MALFORMED_CAPPED = [
+    (0, 2, (), "number of variables must be positive"),
+    (-1, -1, (-1,), "number of variables must be positive"),
+    (2, -1, (1, 1), "degree must be nonnegative"),
+    (2, -1, (1,), "degree must be nonnegative"),
+    (2, 2, (1,), "expected 2 caps, got 1"),
+    (2, 2, (1, 1, 1), "expected 2 caps, got 3"),
+    (2, 2, (1, -1, 0), "expected 2 caps, got 3"),
+    (3, 2, (), "expected 3 caps, got 0"),
+    (2, 2, (3, -1), "caps must be nonnegative"),
+    (3, 0, (0, -2, 0), "caps must be nonnegative"),
+]
+
+
+def test_capped_parameters_refused_alike():
+    # veronese and VeroneseSpec share one check of their parameters
+    for nvars, d, caps, message in MALFORMED_CAPPED:
+        for build in (veronese, VeroneseSpec):
+            with pytest.raises(ValueError) as err:
+                build(nvars, d, caps)
+            assert str(err.value) == message, (build, nvars, d, caps)
+    # the zero ideal is a capped ideal, but not one a spec describes
+    assert veronese(2, 3, (1, 1)).is_zero
+    with pytest.raises(ValueError, match="the ideal is zero"):
+        VeroneseSpec(2, 3, (1, 1))
+
+
 def test_sep_factorization_example():
     I = translate(veronese(3, 4, (1, 3, 3)), (2, 1, 0))
     u, spec = sep_factorization(I)

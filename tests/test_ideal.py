@@ -8,8 +8,13 @@ import pytest
 from polyquot import (
     DegreeGuardError,
     MonomialIdeal,
+    VeroneseSpec,
     ZeroIdealError,
     bounded_compositions,
+    chain_absorb_maximal_ideal,
+    chain_absorb_monomial,
+    chain_absorb_variable,
+    chain_raise_caps,
     colon_by_monomial,
     contains,
     deflate,
@@ -23,7 +28,7 @@ from polyquot import (
     veronese,
     zero_ideal,
 )
-from polyquot.families import random_antichain
+from polyquot.families import iter_bivariate_antichains, random_antichain
 from polyquot.ideal import divides, monomial_colon, monomial_mul, unit_monomial
 from conftest import ideal, NONPURE_ONLY
 from oracles import (
@@ -359,3 +364,50 @@ def test_shifts_and_capped_ideals_keep_the_canonical_order():
         caps = tuple(rng.randint(0, d) for _ in range(n))
         V = veronese(n, d, caps)
         assert V.gens == canonical(n, V.gen_set)
+
+
+def test_mindeg_and_maxdeg_on_every_construction_path():
+    # mindeg and maxdeg read the last and the first stored generator, so
+    # every way of building an ideal must store the canonical order,
+    # highest degree first; a zero ideal from any path refuses both
+    rng = random.Random(31)
+    built = []
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        raw = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+        d = rng.randint(0, 5)
+        layer = [t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d]
+        I = MonomialIdeal(n, raw)
+        u = tuple(rng.randint(0, 3) for _ in range(n))
+        built += [
+            I,
+            MonomialIdeal._from_valid(n, raw),
+            MonomialIdeal._equigenerated(n, rng.sample(layer, rng.randint(1, len(layer)))),
+            translate(I, u),
+            deflate(translate(I, u), u),
+            veronese(n, d, tuple(rng.randint(0, d) for _ in range(n))),
+        ]
+    for n, d in ((2, 2), (3, 2), (3, 3)):
+        for caps in itertools.product(range(d + 1), repeat=n):
+            if sum(caps) < d:
+                continue
+            spec = VeroneseSpec(n, d, caps)
+            chains = [chain_absorb_variable(spec, i) for i in range(n)]
+            chains += [
+                chain_absorb_monomial(spec, tuple(rng.randint(0, 2) for _ in range(n))),
+                chain_raise_caps(spec, VeroneseSpec(n, d, (d,) * n)),
+                chain_absorb_maximal_ideal(spec),
+            ]
+            built += [ch.start for ch in chains]
+    built += iter_bivariate_antichains(6, 4)
+    zeros = 0
+    for I in built:
+        if I.is_zero:
+            zeros += 1
+            for name in ("mindeg", "maxdeg"):
+                with pytest.raises(ZeroIdealError):
+                    getattr(I, name)
+        else:
+            degrees = [sum(g) for g in I.gens]
+            assert (I.mindeg, I.maxdeg) == (min(degrees), max(degrees)), I
+    assert zeros > 0 and sum(I.mindeg < I.maxdeg for I in built if not I.is_zero) > 500

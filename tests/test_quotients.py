@@ -30,7 +30,10 @@ from polyquot import (
 from polyquot.families import iter_equigenerated_ideals, random_antichain
 from polyquot.quotients import _replay_layers, _times_maximal_order
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
+from edge_ideals import all_masks, check, graph
 from oracles import (
+    mcs_chordal,
+    naive_chordal,
     naive_colon_joined,
     naive_colon_steps,
     naive_degree_slice,
@@ -648,3 +651,49 @@ def test_sweep_searches_and_lists_only_what_it_must(monkeypatch):
         assert calls == {"find_admissible_order": 1 + whole,
                          "_times_maximal_order": listed}
     assert wholes > 0 and refuted > 100
+
+
+def test_cochordality_oracle_against_induced_cycles():
+    # maximum cardinality search against the definition of chordality on
+    # every graph on 4 and 5 vertices and a sample on 6 (on 3 or fewer
+    # every graph is chordal)
+    rng = random.Random(7)
+    for n, masks in ((4, all_masks(4)), (5, all_masks(5)),
+                     (6, rng.sample(all_masks(6), 300))):
+        chordal = 0
+        for mask in masks:
+            edges = graph(n, mask)
+            assert mcs_chordal(n, edges) == naive_chordal(n, edges), (n, mask)
+            chordal += naive_chordal(n, edges)
+        assert 0 < chordal < len(masks)
+
+
+def test_edge_ideals_found_iff_complement_chordal():
+    # Froberg 1990 with Herzog-Hibi-Zheng 2004: found exactly when the
+    # complement is chordal, and every other edge ideal is proved
+    # exhausted.  All 1,094 graphs with an edge on 2-5 vertices and a
+    # seeded sample on 6 (CI runs all 32,767 on 6 through the script)
+    totals = [check(n, all_masks(n)) for n in range(2, 6)]
+    assert [w for _, _, w in totals] == [[]] * 4
+    assert sum(f for f, _, _ in totals) == 889
+    assert sum(e for _, e, _ in totals) == 205
+    found, exhausted, wrong = check(6, random.Random(6).sample(all_masks(6), 1500))
+    assert wrong == [] and found > 0 and exhausted > 0
+
+
+def test_real_projective_plane_dual_is_exhausted():
+    # the 6-vertex triangulation of the real projective plane is not
+    # shellable, so the ideal of its facet complements has no linear
+    # quotients (Herzog-Hibi-Zheng 2004); its exchange graph is connected,
+    # so the search must prove it, with no refuter witness
+    facets = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+    # every edge of K6 on exactly two triangles: a closed surface, with
+    # Euler characteristic 6 - 15 + 10 = 1
+    assert all(sum(set(e) <= set(f) for f in facets) == 2
+               for e in itertools.combinations(range(6), 2))
+    I = minimalize(6, [tuple(int(k not in f) for k in range(6)) for f in facets])
+    assert len(I) == 10 and I.is_equigenerated
+    out = find_admissible_order(I)
+    assert (out.status, out.witness) == (EXHAUSTED, None)
+    assert out.nodes == 700
