@@ -6,7 +6,8 @@ increasing.  On that chain the componentwise-polymatroidal ideals are
 recognized by consecutive-integer patterns in the exponent sequences
 ("tight" ideals, after dividing off the common monomial factor), and they
 all carry an explicit admissible order that pivots at the generator of
-minimal degree.
+minimal degree.  The tight class and the degree-pattern test both read
+one scan of the chain's steps, the join indices of :func:`_joins`.
 """
 
 from __future__ import annotations
@@ -95,38 +96,41 @@ def classify_tight(ideal: MonomialIdeal) -> TightClass:
     run through 0, 1, ..., m, and yx-tight when a y-tight prefix meets an
     x-tight suffix at some join index.
     """
-    return _classify_staircase(lex_order(ideal))
-
-
-def _classify_staircase(gens) -> TightClass:
-    """:func:`classify_tight` of the ideal with staircase ``gens``."""
-    m = len(gens) - 1
+    gens = lex_order(ideal)
     if gens[-1][0] != 0 or gens[0][1] != 0:
         raise ValueError(
             "ideal is not in normalized primary form (pure powers of both "
             "variables); use tight_factorization to divide off the common "
             "factor"
         )
-    a = [g[0] for g in gens]
-    b = [g[1] for g in gens]
-    # p: longest prefix with b_i == i; q: earliest start of an a_i == m - i
-    # suffix.  Join indices are exactly q..p.
+    return _classify_staircase(gens)
+
+
+def _joins(gens) -> Tuple[int, ...]:
+    """Join indices q..p of staircase ``gens``: its steps raise y by exactly
+    1 up to index p and lower x by exactly 1 from index q.  Steps do not
+    see the common factor x^s y^t, so ``gens`` need not be normalized."""
+    m = len(gens) - 1
     p = 0
-    while p < m and b[p + 1] == p + 1:
+    while p < m and gens[p + 1][1] == gens[p][1] + 1:
         p += 1
     q = m
-    while q > 0 and a[q - 1] == m - (q - 1):
+    while q > 0 and gens[q - 1][0] == gens[q][0] + 1:
         q -= 1
-    joins = tuple(range(q, p + 1)) if q <= p else ()
-    x_tight = q == 0
-    y_tight = p == m
+    return tuple(range(q, p + 1))
+
+
+def _classify_staircase(gens) -> TightClass:
+    """The tight class of the normalized core of staircase ``gens``."""
+    m = len(gens) - 1
+    joins = _joins(gens)
     if not joins:
         kind = NOT_TIGHT
-    elif x_tight and y_tight:
+    elif joins[0] == 0 and joins[-1] == m:
         kind = XY_TIGHT
-    elif x_tight:
+    elif joins[0] == 0:
         kind = X_TIGHT
-    elif y_tight:
+    elif joins[-1] == m:
         kind = Y_TIGHT
     else:
         kind = STRICT_YX_TIGHT
@@ -142,8 +146,7 @@ def tight_factorization(ideal: MonomialIdeal):
     gens = lex_order(ideal)  # refuses a non-bivariate or zero ideal
     s = gens[-1][0]
     t = gens[0][1]
-    core = deflate(ideal, (s, t))
-    return s, t, core, _classify_staircase([(a - s, b - t) for a, b in gens])
+    return s, t, deflate(ideal, (s, t)), _classify_staircase(gens)
 
 
 def cwp_structural(ideal: MonomialIdeal) -> StructuralCheck:
@@ -159,29 +162,18 @@ def cwp_structural(ideal: MonomialIdeal) -> StructuralCheck:
 
 
 def _structural(gens) -> StructuralCheck:
-    """:func:`cwp_structural` of the ideal with staircase ``gens``."""
-    for (a1, b1), (a2, b2) in zip(gens, gens[1:]):
-        d1, d2 = a1 + b1, a2 + b2
-        if d1 > d2:
-            if not (b2 == b1 + 1 and a1 - 1 > a2):
-                return StructuralCheck(False, None, ())
-        elif d1 < d2:
-            if not (a2 == a1 - 1 and b1 + 1 < b2):
-                return StructuralCheck(False, None, ())
-        else:
-            if not (a2 == a1 - 1 and b2 == b1 + 1):
-                return StructuralCheck(False, None, ())
-    degs = [a + b for a, b in gens]
-    m = len(degs) - 1
-    r = 0
-    while r < m and degs[r] >= degs[r + 1]:
-        r += 1
-    s = m
-    while s > 0 and degs[s - 1] <= degs[s]:
-        s -= 1
-    if s > r:
-        return StructuralCheck(False, None, ())
-    return StructuralCheck(True, s, tuple(range(s, r + 1)))
+    """:func:`cwp_structural` of the ideal with staircase ``gens``.
+
+    Its valleys are the join indices.  A step lowers the x-exponent a and
+    raises the y-exponent b, so it passes the pattern exactly when b rises
+    by 1 (a drop, or a level step if a falls by 1 too) or a falls by 1 (a
+    rise, or a level step).  The degrees fall to one valley r exactly when
+    the steps before r raise b by 1 and the steps from r lower a by 1: r
+    is a join index, and a step that fails the pattern ends the y-prefix
+    before the x-suffix starts.
+    """
+    joins = _joins(gens)
+    return StructuralCheck(bool(joins), joins[0] if joins else None, joins)
 
 
 def valley_order(ideal: MonomialIdeal, valley: Optional[int] = None) -> GeneratorOrder:

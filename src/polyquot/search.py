@@ -20,7 +20,7 @@ from random import Random
 from typing import Optional
 
 from .families import iter_antichains, random_antichain
-from .ideal import MonomialIdeal, _canonical_key
+from .ideal import DEGREE_GUARD, MonomialIdeal, _canonical_key
 from .quotients import EXHAUSTED, FOUND, has_componentwise_linear_quotients
 
 SCHEMA = 1
@@ -172,10 +172,15 @@ def question1_search(cfg: SearchConfig) -> SearchSummary:
     exhausted search is flagged ``candidate-counterexample`` (a proof that
     no admissible order exists, despite componentwise linear quotients),
     a budget-exceeded search or componentwise check ``inconclusive``.  The
-    summary counts all cases.  A negative limit raises ValueError.
+    summary counts all cases.  A negative limit raises ValueError, and so
+    does a box whose top degree nvars_hi * max_exp passes ``DEGREE_GUARD``.
     """
     if cfg.limit is not None and cfg.limit < 0:
         raise ValueError(f"negative limit: {cfg.limit}")
+    if cfg.nvars_hi * cfg.max_exp > DEGREE_GUARD:
+        raise ValueError(
+            f"box degree {cfg.nvars_hi} * {cfg.max_exp} exceeds guard {DEGREE_GUARD}"
+        )
     start = _load_checkpoint(cfg)
     summary = SearchSummary(symmetry_reduce=cfg.symmetry_reduce, stopped_at=start)
     space = enumerate(_iter_search_space(cfg))

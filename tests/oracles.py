@@ -79,6 +79,43 @@ def naive_degree_slice(ideal, j):
     return out
 
 
+def naive_squarefree_part(ideal, j):
+    """The generators of the squarefree part I_[j]: every 0/1 vector of
+    weight j that some generator divides."""
+    return [t for t in itertools.product((0, 1), repeat=ideal.nvars)
+            if sum(t) == j and any(naive_divides(g, t) for g in ideal.gens)]
+
+
+def naive_degree_pattern(gens):
+    """(ok, valley, valleys) of the two-variable degree pattern, as the
+    ``cwp_structural`` docstring states it.  Along the generators with
+    x-exponents falling, a step that lowers the degree raises y by exactly
+    1 and lowers x by more than 1, a step that raises it lowers x by
+    exactly 1 and raises y by more than 1, and a level step moves both by
+    exactly 1.  The valleys are every r with the degrees non-increasing up
+    to r and non-decreasing from r; the pattern holds when every step
+    passes and some valley exists, and then ``valley`` is the first."""
+    seq = sorted(gens, reverse=True)
+    degs = [a + b for a, b in seq]
+    steps = True
+    for u, v in zip(seq, seq[1:]):
+        x_fall, y_rise = u[0] - v[0], v[1] - u[1]
+        if sum(v) < sum(u):
+            steps &= y_rise == 1 and x_fall > 1
+        elif sum(v) > sum(u):
+            steps &= x_fall == 1 and y_rise > 1
+        else:
+            steps &= x_fall == y_rise == 1
+    valleys = tuple(
+        r for r in range(len(seq))
+        if all(degs[i] >= degs[i + 1] for i in range(r))
+        and all(degs[i] <= degs[i + 1] for i in range(r, len(seq) - 1))
+    )
+    if not (steps and valleys):
+        return False, None, ()
+    return True, valleys[0], valleys
+
+
 def naive_dual_exchange(ideal):
     """Direct double loop for the dual exchange predicate."""
     gens = list(ideal.gens)

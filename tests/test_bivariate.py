@@ -30,6 +30,7 @@ from polyquot import (
 from polyquot.bivariate import NOT_TIGHT, STRICT_YX_TIGHT, X_TIGHT, XY_TIGHT, Y_TIGHT
 from polyquot.families import iter_bivariate_antichains, random_yx_tight
 from conftest import ideal, I1_GENS, I2_GENS, I3_GENS, SEVEN_GENS, SEVEN_ORDER
+from oracles import naive_degree_pattern
 
 
 def test_lex_order_examples():
@@ -121,8 +122,8 @@ def test_tight_factorization_examples():
 
 
 def test_tight_factorization_sorts_the_staircase_once(monkeypatch):
-    # the core is classified from the ideal's own staircase, shifted, and
-    # gets the class classify_tight gives the deflated core
+    # the core is classified from the ideal's own staircase, and gets the
+    # class classify_tight gives the deflated core
     calls = []
     real = polyquot.bivariate.lex_order
     monkeypatch.setattr(polyquot.bivariate, "lex_order", lambda I: calls.append(I) or real(I))
@@ -148,6 +149,34 @@ def test_structural_examples():
     eq = ideal(2, (4, 1), (3, 2), (2, 3))
     chk = cwp_structural(eq)
     assert chk and chk.valleys == tuple(range(0, 3))
+
+
+def test_structural_matches_the_degree_pattern_oracle():
+    # cwp_structural reads the join indices; the oracle reads the degree
+    # pattern as the cwp_structural docstring states it.  Every antichain
+    # with exponents <= 8 and up to 5 generators, seeded random staircases
+    # (mostly failing), and yx-tight staircases with join j built from the
+    # definition, times a random monomial (passing)
+    rng = random.Random(24)
+    staircases = []
+    for _ in range(2000):
+        k = rng.randint(1, 12)
+        xs = sorted(rng.sample(range(26), k), reverse=True)
+        staircases.append(MonomialIdeal(2, list(zip(xs, sorted(rng.sample(range(26), k))))))
+    for _ in range(500):
+        m = rng.randint(0, 10)
+        j = rng.randint(0, m)
+        head = sorted(rng.sample(range(m - j + 1, m - j + 12), j), reverse=True)
+        tail = sorted(rng.sample(range(j + 1, j + 12), m - j))
+        gens = [*zip(head, range(j)), (m - j, j), *zip(range(m - j - 1, -1, -1), tail)]
+        s, t = rng.randint(0, 5), rng.randint(0, 5)
+        staircases.append(MonomialIdeal(2, [(a + s, b + t) for a, b in gens]))
+    positive = 0
+    for I in [*iter_bivariate_antichains(8, 5), *staircases]:
+        chk = cwp_structural(I)
+        assert (chk.ok, chk.valley, chk.valleys) == naive_degree_pattern(I.gens), I
+        positive += chk.ok
+    assert positive > 8000
 
 
 def test_polymatroidal_iff_consecutive_exponents():

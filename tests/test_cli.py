@@ -17,6 +17,7 @@ from polyquot import (
     is_admissible_order,
     minimalize,
     order_colon_variables,
+    product,
     satisfies_nonpure_dual_exchange,
     satisfies_nonpure_exchange,
     serialize_ideal,
@@ -277,6 +278,34 @@ def test_product_command(tmp_path, capsys):
         "strict-yx-tight", "x-tight", "y-tight", "xy-tight"
     )
     assert report["componentwise_polymatroidal"]["ok"] is True
+
+
+def test_reports_written_with_out(tmp_path, capsys):
+    # classify --out writes what classify --json prints, timing aside, and
+    # prints nothing; product --out writes its report and still prints the
+    # product in the text format
+    def untimed(text):
+        return [line for line in text.splitlines() if '"timing_ms": ' not in line]
+
+    path = str(GOLDEN_INPUTS["i3"])
+    out = tmp_path / "classify.json"
+    main(["classify", "--input", path, "--json"])
+    printed = capsys.readouterr().out
+    assert main(["classify", "--input", path, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert untimed(out.read_text()) == untimed(printed)
+    assert out.read_text().endswith("}\n")
+    A = ideal(2, (2, 0), (1, 2), (0, 3))
+    B = ideal(2, (3, 0), (1, 1), (0, 2))
+    inputs = ["--input", write_ideal(tmp_path, "a.txt", A),
+              "--input", write_ideal(tmp_path, "b.txt", B)]
+    main(["product", *inputs, "--json"])
+    printed = capsys.readouterr().out
+    cut = printed.index("\nn=") + 1
+    out = tmp_path / "product.json"
+    assert main(["product", *inputs, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == printed[:cut]
+    assert capsys.readouterr().out == printed[cut:] == serialize_ideal(product(A, B))
 
 
 def test_product_degree_guard_skips_componentwise(tmp_path, capsys):
@@ -543,6 +572,27 @@ def test_search_box_guard(tmp_path):
     cfg = search_config(tmp_path, max_exp=30)
     with pytest.raises(ValueError):
         list(question1_search(cfg))
+
+
+def test_search_refuses_a_box_past_the_degree_guard(tmp_path, capsys):
+    # 3 variables with exponents up to 30 can draw an ideal of degree 90;
+    # its sweep would stop at degree 65 partway through the run, and every
+    # resume at the same draw, so the box is refused before any file opens
+    out, ck = tmp_path / "out.jsonl", tmp_path / "ck.json"
+    code = main(["search", "--nvars", "3", "--max-exp", "30", "--max-gens", "3",
+                 "--count", "50", "--budget", "10", "--checkpoint", str(ck),
+                 "--out", str(out)])
+    assert code == EXIT_ERROR and not out.exists() and not ck.exists()
+    assert "box degree 3 * 30 exceeds guard 64" in capsys.readouterr().err
+    # an exhaustive box small enough for its own guard is refused alike
+    code = main(["search", "--nvars", "1", "--max-exp", "70", "--max-gens", "3",
+                 "--exhaustive", "--out", str(out)])
+    assert code == EXIT_ERROR and not out.exists()
+    # degree 64 itself is still searched
+    code = main(["search", "--nvars", "2", "--max-exp", "32", "--max-gens", "3",
+                 "--count", "20", "--budget", "10", "--out", str(out)])
+    assert code != EXIT_ERROR and out.exists()
+    assert json.loads(capsys.readouterr().out)["summary"]["scanned"] == 20
 
 
 def test_search_records_are_flagged(tmp_path):

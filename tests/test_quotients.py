@@ -31,6 +31,7 @@ from polyquot.families import iter_equigenerated_ideals, random_antichain
 from polyquot.quotients import _replay_layers, _times_maximal_order
 from conftest import ideal, SEVEN_GENS, SEVEN_ORDER
 from edge_ideals import all_masks, check, graph
+import squarefree
 from oracles import (
     mcs_chordal,
     naive_chordal,
@@ -680,6 +681,21 @@ def test_edge_ideals_found_iff_complement_chordal():
     found, exhausted, wrong = check(6, random.Random(6).sample(all_masks(6), 1500))
     assert wrong == [] and found > 0 and exhausted > 0
 
+
+
+def test_squarefree_found_iff_every_squarefree_part_found():
+    # Bjorner-Wachs 1996 with Herzog-Hibi-Zheng 2004: a squarefree ideal
+    # has linear quotients exactly when each squarefree part I_[j] does,
+    # and the parts are one degree each.  All 189 proper nonzero
+    # squarefree ideals on 1-4 variables and a seeded sample on 5 (CI runs
+    # all 7,579 on 5 through the script)
+    totals = [squarefree.check(n, squarefree.all_ideals(n)) for n in range(1, 5)]
+    assert [w for _, _, w in totals] == [[]] * 4
+    assert sum(f for f, _, _ in totals) == 186
+    assert sum(e for _, e, _ in totals) == 3
+    sample = random.Random(5).sample(squarefree.all_ideals(5), 1500)
+    found, exhausted, wrong = squarefree.check(5, sample)
+    assert wrong == [] and found > 0 and exhausted > 0
 
 def test_real_projective_plane_dual_is_exhausted():
     # the 6-vertex triangulation of the real projective plane is not
