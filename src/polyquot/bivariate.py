@@ -188,12 +188,18 @@ def valley_order(ideal: MonomialIdeal, valley: Optional[int] = None) -> Generato
     ``valley`` overrides the turning index and must be one of the valid
     valleys reported by :func:`cwp_structural`.
     """
+    pivot = _pivot(ideal, valley)
+    if pivot is None:
+        raise ValueError("ideal is not componentwise polymatroidal; no pivot order exists")
+    return pivot[1]
+
+
+def _pivot(ideal: MonomialIdeal, valley: Optional[int] = None):
+    """(valley, valley_order) from one sorted staircase; None if not structural."""
     gens = lex_order(ideal)
     chk = _structural(gens)
     if not chk:
-        raise ValueError(
-            "ideal is not componentwise polymatroidal; no pivot order exists"
-        )
+        return None
     if valley is None:
         valley = chk.valley
     elif valley not in chk.valleys:
@@ -210,4 +216,4 @@ def valley_order(ideal: MonomialIdeal, valley: Optional[int] = None) -> Generato
                 f"{ideal!r}: colon at position {t} of the valley-{valley} "
                 f"order is not ({'xy'[expected[0]]})"
             )
-    return GeneratorOrder(ideal, tuple(seq))
+    return valley, GeneratorOrder(ideal, tuple(seq))

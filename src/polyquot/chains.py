@@ -10,12 +10,10 @@ degree produces a verified admissible order for any componentwise
 polymatroidal ideal with the strong exchange property.
 
 A spec keeps the capped ideal it builds, so a degree step of
-:func:`sep_admissible_order` builds each capped ideal once:
-:func:`chain_absorb_variable` and :func:`chain_raise_caps` build only their
-end ideal and read the start off it, and :func:`chain_absorb_monomial`
-shifts only the appended part of its steps.  Every chain constructed here
-is verified step by step before it is returned; a verification failure
-raises instead of returning a bad chain.
+:func:`sep_admissible_order` builds each capped ideal once.  Each chain
+constructor verifies its chain step by step before returning it, the
+factorization checks its rebuild, and :func:`sep_admissible_order` reads
+only the appended parts of the chains and walks the assembled order once.
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ from .ideal import (
     _by_degree,
     _capped_caps,
     _times_maximal_order,
+    bounded_compositions,
     graded_components,
     monomial_mul,
     translate,
-    veronese,
 )
 from .exchange import (
     ExchangeWitness,
@@ -93,7 +91,8 @@ class VeroneseSpec:
 
     def ideal(self) -> MonomialIdeal:
         if self._ideal is None:
-            object.__setattr__(self, "_ideal", veronese(self.nvars, self.degree, self.caps))
+            gens = tuple(bounded_compositions(self.degree, self.caps))  # descending lex
+            object.__setattr__(self, "_ideal", MonomialIdeal._presorted(self.nvars, gens))
         return self._ideal
 
     def bump(self, i: int) -> "VeroneseSpec":
@@ -293,72 +292,60 @@ def sep_admissible_order(ideal: MonomialIdeal) -> GeneratorOrder:
     The minimal generators of the lowest degree are ordered
     lexicographically (a translate of a capped ideal always admits that
     order).  For each degree step j -> j+1 the component factorizations
-    I_<j> = u * I_(d; a) and I_<j+1> = v * I_(l; b) are composed into a
-    chain from (x_1, ..., x_n) * I_<j> to I_<j+1>: absorb the maximal
-    ideal into the spec, absorb x^(u-v) when u != v, then raise caps to
-    b, reusing the capped ideals the factorizations built.  The new
-    minimal generators of degree j+1 — which are exactly the monomials the
-    composite appends — join the order in chain position.  The assembled
-    order is checked before it is returned.  An ideal some component of
-    which fails strong exchange raises :class:`NotComponentwiseSEPError`.
+    I_<j> = u * I_(d; a) and I_<j+1> = v * I_(l; b) give a chain from
+    (x_1, ..., x_n) * I_<j> to I_<j+1>: absorb the maximal ideal into the
+    spec, absorb x^(u-v) when u != v, then raise caps to b, reusing the
+    capped ideals the factorizations built.  Its appended monomials,
+    shifted by u and v, must be the new generators of degree j+1; they
+    join the order in chain position.  Each constructor verifies its own
+    chain and each factorization its rebuild; the assembled order is
+    walked once more.  An ideal some component of which fails strong
+    exchange raises :class:`NotComponentwiseSEPError`.
     """
     return _sep_order(ideal)[0]
 
 
 def _sep_order(ideal: MonomialIdeal):
-    """sep_admissible_order and the colon variables of the walk checking it."""
+    """sep_admissible_order and the colon variables of the walk checking it.
+
+    The chains of one step meet without a check of their own: the degrees
+    add up, (d + 1) + |u - v| = (j - |u|) + 1 + |u| - |v| = l; u >= v, as
+    x_r * g is in I_<j+1> for g in G(I_<j>), so for n >= 2 and any r != i,
+    v_i <= min_g (x_r * g)_i = min_g g_i = u_i (n = 1 has one degree); and
+    v * I_(l; b) = I_<j+1> is the factorization's rebuild check.
+    """
     _require_nonzero(ideal)
-    n = ideal.nvars
-    lo, hi = ideal.mindeg, ideal.maxdeg
-    comps = {}
+    factors = {}
     for j, comp in graded_components(ideal):
-        comps[j] = comp
         # strong exchange within one degree implies the exchange property,
         # so the strong test alone decides each component
         failure = _one_degree_failure(comp, True)
         if failure is not None:
             raise NotComponentwiseSEPError(j, ExchangeWitness(*failure))
-    factors = {j: _factor(comps[j]) for j in range(lo, hi + 1)}
+        factors[j] = _factor(comp)
     new_gens = _by_degree(ideal.gens)
 
-    order = list(comps[lo].gens)  # descending lex, as stored
-    for j in range(lo, hi):
+    order = list(new_gens[ideal.mindeg])  # descending lex, as stored
+    for j in range(ideal.mindeg, ideal.maxdeg):
         u, spec_u = factors[j]
         v, spec_v = factors[j + 1]
-        if any(a < b for a, b in zip(u, v)):
-            raise ChainVerificationError(
-                f"common factor {v} of degree {j + 1} does not divide the "
-                f"common factor {u} of degree {j}"
-            )
         c = tuple(a - b for a, b in zip(u, v))
-        if spec_u.degree + sum(c) + 1 != spec_v.degree:
-            raise ChainVerificationError(
-                "degree bookkeeping failed between components "
-                f"{j} and {j + 1}"
-            )
-        chain = translate_chain(chain_absorb_maximal_ideal(spec_u), u)
-        mid = VeroneseSpec(n, spec_u.degree + 1, tuple(a + 1 for a in spec_u.caps))
+        step = [monomial_mul(u, g) for g in chain_absorb_maximal_ideal(spec_u).appended]
+        mid = VeroneseSpec(spec_u.nvars, spec_u.degree + 1, tuple(a + 1 for a in spec_u.caps))
         if any(c):  # with u = v the chain absorbing x^c is empty
-            ch2 = translate_chain(chain_absorb_monomial(mid, c), v)
-            chain = concat_chains(chain, ch2)
-        after = VeroneseSpec(n, mid.degree + sum(c), monomial_mul(mid.caps, c))
-        ch3 = translate_chain(chain_raise_caps(after, spec_v), v)
-        composite = concat_chains(chain, ch3)
-        if composite.end != comps[j + 1]:
-            raise ChainVerificationError(
-                f"composite chain for degrees {j} -> {j + 1} does not end at "
-                "the graded component"
-            )
-        if set(composite.appended) != set(new_gens.get(j + 1, ())):
+            step += [monomial_mul(v, g) for g in chain_absorb_monomial(mid, c).appended]
+        after = VeroneseSpec(mid.nvars, mid.degree + sum(c), monomial_mul(mid.caps, c))
+        step += [monomial_mul(v, g) for g in chain_raise_caps(after, spec_v).appended]
+        if sorted(step) != sorted(new_gens.get(j + 1, ())):
             raise ChainVerificationError(
                 f"appended monomials of the degree {j + 1} chain are not the "
                 "new minimal generators"
             )
-        order.extend(composite.appended)
+        order.extend(step)
 
-    # the composite chains are not verified again here: the ideal of the
-    # lower-degree generators placed before degree j+1 and m * I_<j> agree
-    # in every degree >= j+1, so this check sees the same colons
+    # the ideal of the lower-degree generators placed before degree j+1
+    # and m * I_<j> agree in every degree >= j+1, so this walk sees the
+    # colons the constructors verified, now of the whole order
     result = GeneratorOrder(ideal, tuple(order))
     variables, bad = _colon_steps((), result.order)
     if bad is not None:

@@ -49,7 +49,7 @@ from .quotients import (
     find_admissible_order,
     is_admissible_order,
 )
-from .bivariate import cwp_structural, tight_factorization, valley_order
+from .bivariate import _pivot, cwp_structural, tight_factorization
 from .chains import (
     ChainVerificationError,
     NotComponentwiseSEPError,
@@ -203,11 +203,10 @@ def _cmd_order(args) -> int:
             is_admissible_order(GeneratorOrder(ideal, outcome.order))
         )
     if ideal.nvars == 2:
-        st = cwp_structural(ideal)
-        if st.ok:
-            vo = valley_order(ideal)
-            report["pivot_order"] = [list(g) for g in vo.order]
-            report["pivot_valley"] = st.valley
+        pivot = _pivot(ideal)
+        if pivot is not None:
+            report["pivot_order"] = [list(g) for g in pivot[1].order]
+            report["pivot_valley"] = pivot[0]
     report["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
     _emit(report, args)
     if outcome.status == FOUND:

@@ -96,23 +96,28 @@ def random_yx_tight(
     """A random normalized bivariate tight ideal of the requested kind.
 
     kind is one of "x", "y", "strict", "xy" (both at once, i.e. a power
-    of (x, y)); None picks one at random.  Sampling repeats until the
-    classification matches the request exactly, so e.g. "x" never returns
-    an ideal that happens to be y-tight as well.
+    of (x, y)); None picks one at random among those that occur with
+    exponents at most max_exp.  Sampling repeats until the classification
+    matches the request exactly, so e.g. "x" never returns an ideal that
+    happens to be y-tight as well.  A kind that cannot occur raises
+    ValueError: "x" and "y" need max_exp >= 2, "strict" max_exp >= 3.
     """
-    want = {
-        "x": "x-tight",
-        "y": "y-tight",
-        "strict": "strict-yx-tight",
-        "xy": "xy-tight",
+    want = {  # kind: (its class, the least max_exp it occurs at)
+        "x": ("x-tight", 2), "y": ("y-tight", 2),
+        "strict": ("strict-yx-tight", 3), "xy": ("xy-tight", 0),
     }
+    if max_exp < 0:
+        raise ValueError(f"negative max_exp: {max_exp}")
     if kind is None:
-        kind = rng.choice(sorted(want))
+        kind = rng.choice([k for k in sorted(want) if max_exp >= want[k][1]])
     if kind not in want:
         raise ValueError(f"unknown kind {kind!r}")
+    tight, least = want[kind]
+    if max_exp < least:
+        raise ValueError(f"no {tight} ideal has exponents at most {max_exp}")
     while True:
         ideal = _draw_tight(rng, max_exp, kind)
-        if classify_tight(ideal).kind == want[kind]:
+        if classify_tight(ideal).kind == tight:
             return ideal
 
 

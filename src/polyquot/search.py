@@ -86,13 +86,6 @@ def _is_orbit_representative(ideal: MonomialIdeal) -> bool:
 def _iter_search_space(cfg: SearchConfig):
     if cfg.exhaustive:
         for n in range(cfg.nvars_lo, cfg.nvars_hi + 1):
-            box = (cfg.max_exp + 1) ** n
-            if box > MAX_EXHAUSTIVE_BOX or cfg.max_gens > MAX_EXHAUSTIVE_GENS:
-                raise ValueError(
-                    f"exhaustive box too large: {box} monomials / "
-                    f"{cfg.max_gens} generators (guards: {MAX_EXHAUSTIVE_BOX}, "
-                    f"{MAX_EXHAUSTIVE_GENS})"
-                )
             yield from iter_antichains(n, cfg.max_exp, cfg.max_gens)
     else:
         rng = Random(cfg.seed)
@@ -172,8 +165,9 @@ def question1_search(cfg: SearchConfig) -> SearchSummary:
     exhausted search is flagged ``candidate-counterexample`` (a proof that
     no admissible order exists, despite componentwise linear quotients),
     a budget-exceeded search or componentwise check ``inconclusive``.  The
-    summary counts all cases.  A negative limit raises ValueError, and so
-    does a box whose top degree nvars_hi * max_exp passes ``DEGREE_GUARD``.
+    summary counts all cases.  Before any file is opened, ValueError
+    refuses a negative limit, a box whose top degree nvars_hi * max_exp
+    passes ``DEGREE_GUARD``, and an oversized exhaustive box.
     """
     if cfg.limit is not None and cfg.limit < 0:
         raise ValueError(f"negative limit: {cfg.limit}")
@@ -181,6 +175,14 @@ def question1_search(cfg: SearchConfig) -> SearchSummary:
         raise ValueError(
             f"box degree {cfg.nvars_hi} * {cfg.max_exp} exceeds guard {DEGREE_GUARD}"
         )
+    for n in range(cfg.nvars_lo, cfg.nvars_hi + 1):
+        box = (cfg.max_exp + 1) ** n
+        if cfg.exhaustive and (box > MAX_EXHAUSTIVE_BOX or cfg.max_gens > MAX_EXHAUSTIVE_GENS):
+            raise ValueError(
+                f"exhaustive box too large: {box} monomials / "
+                f"{cfg.max_gens} generators (guards: {MAX_EXHAUSTIVE_BOX}, "
+                f"{MAX_EXHAUSTIVE_GENS})"
+            )
     start = _load_checkpoint(cfg)
     summary = SearchSummary(symmetry_reduce=cfg.symmetry_reduce, stopped_at=start)
     space = enumerate(_iter_search_space(cfg))

@@ -275,6 +275,29 @@ def test_x_times_y_tight_product_formula():
         assert product(I, J) == formula
 
 
+def test_random_yx_tight_draws_the_kind_or_refuses():
+    # the tight kinds among all normalized staircases with exponents at
+    # most e, by enumeration; random_yx_tight must draw a requested kind
+    # exactly when one occurs there, and refuse it otherwise
+    names = {"x": X_TIGHT, "y": Y_TIGHT, "strict": STRICT_YX_TIGHT, "xy": XY_TIGHT}
+    rng = random.Random(89)
+    for e in range(5):
+        occurring = {
+            classify_tight(I).kind for I in iter_bivariate_antichains(e, e + 1)
+            if lex_order(I)[-1][0] == 0 and lex_order(I)[0][1] == 0
+        }
+        for kind in (*names, None):
+            wanted = occurring - {NOT_TIGHT} if kind is None else {names[kind]}
+            for _ in range(5):
+                if wanted & occurring:
+                    assert classify_tight(random_yx_tight(rng, e, kind)).kind in wanted
+                else:
+                    with pytest.raises(ValueError):
+                        random_yx_tight(rng, e, kind)
+    with pytest.raises(ValueError):
+        random_yx_tight(rng, -1)
+
+
 def test_products_of_tight_ideals_stay_tight():
     rng = random.Random(79)
     kinds = ["x", "y", "strict", "xy"]

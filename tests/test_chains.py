@@ -1,5 +1,7 @@
 """Capped-ideal factorization and extension chains."""
 
+import dataclasses
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -34,10 +36,16 @@ from polyquot import (
 import polyquot.chains
 from polyquot.exchange import _box
 from polyquot.families import random_componentwise_sep
-from polyquot.ideal import graded_components
+from polyquot.ideal import bounded_compositions, graded_components
 from polyquot.textio import parse_ideal
 from conftest import ideal, SQUARE_REGRESSION
-from oracles import naive_absorb_monomial, naive_absorb_variable, naive_raise_caps
+from oracles import (
+    naive_absorb_monomial,
+    naive_absorb_variable,
+    naive_order_admissible,
+    naive_raise_caps,
+)
+import sep_orders
 
 
 def test_spec_normalization_and_validation():
@@ -366,6 +374,113 @@ def test_sep_admissible_order_random():
         assert is_admissible_order(order)
 
 
+@functools.lru_cache(maxsize=None)
+def sep_box():
+    """The componentwise-SEP ideals of every antichain of at most 4
+    generators in 3 variables with exponents at most 3."""
+    total, ideals = sep_orders.sep_ideals(3, 3)
+    assert total == 37259
+    return tuple(ideals)
+
+
+def test_sep_admissible_order_box_against_the_naive_colons():
+    # every order is checked by computing each colon ideal outright, code
+    # the library's colon walk does not share (CI runs the 4-variable box
+    # with exponents at most 2 through the script)
+    ideals = sep_box()
+    assert len(ideals) == 1329
+    assert sep_orders.check(ideals) == (989, [])
+
+
+def _drop(chain, k):
+    return chain.appended[:k] + chain.appended[k + 1:]
+
+
+def _swap(chain, k):
+    if len(chain.appended) < 2:
+        return None
+    k = min(k, len(chain.appended) - 2)
+    a = chain.appended
+    return a[:k] + (a[k + 1], a[k]) + a[k + 2:]
+
+
+def _repeat(chain, k):
+    # a member replaced by its neighbour: one monomial twice, one missing
+    if len(chain.appended) < 2:
+        return None
+    a = chain.appended
+    return a[:k] + (a[k - 1] if k else a[1],) + a[k + 1:]
+
+
+def _extra(chain, k):
+    # a member appended a second time
+    return chain.appended + chain.appended[k:k + 1]
+
+
+def _replace_by_start(chain, k):
+    # a member replaced by one the start ideal already has
+    return chain.appended[:k] + chain.start.gens[:1] + chain.appended[k + 1:]
+
+
+def _replace_by_multiple(chain, k):
+    # a member replaced by a multiple of it, one degree too high
+    g = chain.appended[k]
+    return chain.appended[:k] + ((g[0] + 1,) + g[1:],) + chain.appended[k + 1:]
+
+
+def fault_corpus():
+    """A slice of the box, longer chains from random draws, and a step
+    whose maximal-ideal chain appends: (x_i x_k x_l) + I_(4; 2, 2, 2, 2)."""
+    rng = random.Random(157)
+    multi = []
+    while len(multi) < 20:
+        I = random_componentwise_sep(rng, 3, 8)
+        if I.maxdeg > I.mindeg:
+            multi.append(I)
+    crafted = minimalize(4, veronese(4, 3, (1,) * 4).gens + veronese(4, 4, (2,) * 4).gens)
+    return sep_box()[::7] + tuple(multi) + (crafted, translate(crafted, (1, 0, 0, 2)))
+
+
+@pytest.mark.parametrize("fault", [
+    _drop, _swap, _repeat, _extra, _replace_by_start, _replace_by_multiple])
+@pytest.mark.parametrize("constructor", [
+    "chain_absorb_maximal_ideal", "chain_absorb_monomial", "chain_raise_caps"])
+def test_sep_admissible_order_catches_a_faulty_chain(monkeypatch, constructor, fault):
+    # a constructor whose appended part loses, reorders, repeats or replaces
+    # a member after its own verification: sep_admissible_order refuses the order
+    # with ChainVerificationError or returns one the naive colons accept,
+    # never a rejected order or a permutation fault (ValueError).  Only a
+    # swap leaves the right members, so every other fault is refused.
+    built = getattr(polyquot.chains, constructor)
+    injected = []
+
+    def faulty(*args):
+        chain = built(*args)
+        appended = fault(chain, len(injected) % len(chain.appended)) if chain.appended else None
+        if appended is None:
+            return chain
+        injected.append(chain)
+        return dataclasses.replace(chain, appended=appended)
+
+    monkeypatch.setattr(polyquot.chains, constructor, faulty)
+    outcomes = set()
+    for I in fault_corpus():
+        before = len(injected)
+        try:
+            order = sep_admissible_order(I).order
+        except ChainVerificationError:
+            assert len(injected) > before, I.gens
+            outcomes.add("refused")
+        else:
+            assert fault is _swap or len(injected) == before, I.gens
+            assert naive_order_admissible(order), I.gens
+    assert injected
+    # the final walk catches a swap too, but on the maximal-ideal chain,
+    # whose members pass in any order here, none turns up
+    if fault is _swap and constructor != "chain_absorb_maximal_ideal":
+        assert "refused" in outcomes
+
+
 def test_componentwise_capped_sums():
     # sums of capped ideals across degrees (componentwise capped form)
     rng = random.Random(127)
@@ -396,9 +511,9 @@ def test_sep_admissible_order_builds_each_capped_ideal_once_per_step(monkeypatch
 
     def counting(*args):
         built.append(args)
-        return veronese(*args)
+        return bounded_compositions(*args)
 
-    monkeypatch.setattr(polyquot.chains, "veronese", counting)
+    monkeypatch.setattr(polyquot.chains, "bounded_compositions", counting)
     data = Path(__file__).parent / "data"
     inputs = [
         parse_ideal((data / name).read_text())

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import polyquot.bivariate
 import polyquot.ideal
 import polyquot.search
 from polyquot import (
@@ -142,6 +143,26 @@ def test_order_command(tmp_path, capsys):
     assert report["status"] == "found" and report["verified"] is True
     assert "disconnected" not in report
     assert report["pivot_order"] == [list(g) for g in SEVEN_ORDER]
+
+
+def test_order_command_sorts_the_staircase_once(tmp_path, capsys, monkeypatch):
+    # the pivot order and its valley come from one sorted staircase and
+    # one pattern test
+    calls = {"lex_order": 0, "_structural": 0}
+    for name in calls:
+        wrapped = getattr(polyquot.bivariate, name)
+
+        def counted(*args, _name=name, _wrapped=wrapped):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(polyquot.bivariate, name, counted)
+    path = write_ideal(tmp_path, "i.txt", ideal(2, *SEVEN_GENS))
+    assert main(["order", "--input", path]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["pivot_order"] == [list(g) for g in SEVEN_ORDER]
+    assert report["pivot_valley"] == 4
+    assert calls == {"lex_order": 1, "_structural": 1}
 
 
 def test_order_exhausted_exit_code(tmp_path, capsys):
@@ -593,6 +614,23 @@ def test_search_refuses_a_box_past_the_degree_guard(tmp_path, capsys):
                  "--count", "20", "--budget", "10", "--out", str(out)])
     assert code != EXIT_ERROR and out.exists()
     assert json.loads(capsys.readouterr().out)["summary"]["scanned"] == 20
+
+
+def test_search_refuses_an_oversized_exhaustive_box_before_opening_files(tmp_path, capsys):
+    # 31**2 = 961 candidate monomials pass MAX_EXHAUSTIVE_BOX; the box is
+    # refused before the output or the checkpoint is created
+    out, ck = tmp_path / "x.jsonl", tmp_path / "ck.json"
+    code = main(["search", "--nvars", "2", "--max-exp", "30", "--max-gens", "3",
+                 "--exhaustive", "--checkpoint", str(ck), "--out", str(out)])
+    assert code == EXIT_ERROR and not out.exists() and not ck.exists()
+    assert "exhaustive box too large: 961 monomials" in capsys.readouterr().err
+    # so is a generator count past MAX_EXHAUSTIVE_GENS, and a range whose
+    # lower variable counts fit but whose top one does not
+    for args in (["--nvars", "2", "--max-exp", "2", "--max-gens", "7"],
+                 ["--nvars", "2-3", "--max-exp", "10", "--max-gens", "2"]):
+        code = main(["search", *args, "--exhaustive", "--out", str(out)])
+        assert code == EXIT_ERROR and not out.exists()
+    assert "exhaustive box too large: 1331 monomials" in capsys.readouterr().err
 
 
 def test_search_records_are_flagged(tmp_path):
